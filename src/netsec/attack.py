@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissemination import star_docs
+from .dissemination import _check_cost, star_docs
 
 # Values of v_i + lam within this of zero are treated as inactive, so the
 # corresponding a_i is an exact 0 rather than a denormalized positive.
@@ -50,8 +50,8 @@ def _as_security(q, n: int | None = None) -> np.ndarray:
     q = np.atleast_1d(np.asarray(q, dtype=float))
     if n is not None and q.shape != (n,):
         raise ValueError(f"expected {n} investments, got shape {q.shape}")
-    if (q < -1e-12).any() or (q > 1.0 + 1e-12).any():
-        raise ValueError("investments must lie in [0, 1]")
+    if not ((q >= -1e-12) & (q <= 1.0 + 1e-12)).all():  # NaN fails both
+        raise ValueError("investments must be finite numbers in [0, 1]")
     return np.clip(q, 0.0, 1.0)
 
 
@@ -66,8 +66,7 @@ def optimal_attack(q, docs, omega: float) -> AttackSolution:
     docs = np.atleast_1d(np.asarray(docs, dtype=float))
     if docs.shape != q.shape:
         raise ValueError("q and docs must have the same length")
-    if omega < 1.0:
-        raise ValueError(f"omega must be >= 1, got {omega}")
+    _check_cost("omega", omega)
     if (docs < 1.0 - 1e-9).any():
         raise ValueError("expected documents are always >= 1 on a connected graph")
     n = q.size
@@ -172,8 +171,7 @@ def star_attack(
     """
     if n < 3:
         raise ValueError(f"star attack formula needs n >= 3, got {n}")
-    if omega < 1.0:
-        raise ValueError(f"omega must be >= 1, got {omega}")
+    _check_cost("omega", omega)
     hub_docs, leaf_docs = star_docs(n, p)
     gap = (1.0 - q_center) * hub_docs - (1.0 - q_leaf) * leaf_docs
     if omega <= gap:

@@ -4,17 +4,14 @@ line chart).
 
 Exit codes: 0 success, 2 invalid arguments or input, 3 solver
 non-convergence.  Identical invocations with identical seeds produce
-byte-identical output.  The NETSEC_THREADS environment variable caps the
-number of worker threads used for grid sweeps.
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -38,21 +35,6 @@ _VT_TOPOLOGIES = (RING, COMPLETE)
 def _fmt(x: float) -> str:
     """12 significant digits, the fixed CSV number format."""
     return f"{float(x):.12g}"
-
-
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("NETSEC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    workers = _max_workers()
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -97,7 +79,7 @@ def _resolve_dissemination(g: Graph, p: float, args):
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
@@ -105,7 +87,7 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_svg(args, xs, series: dict, title: str) -> None:
-    if getattr(args, "svg", None):
+    if args.svg:
         with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(render_line_chart(xs, series, title=title))
 
@@ -218,7 +200,7 @@ def _cmd_sweep_investments(args) -> str:
             q_ns, q_os = _numeric_profiles(g, p, params, args)
             return [p, *q_nr, *q_or, *q_ns, *q_os]
 
-    rows = _map_ordered(row, grid)
+    rows = [row(p) for p in grid]
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in vals) for vals in rows)
     series = {
@@ -238,7 +220,7 @@ def _cmd_sweep_documents(args) -> str:
     lines = [",".join(header)]
     series = {}
     for topology in topologies:
-        docs_rows = _map_ordered(lambda p: topology_docs(topology, n, p), grid)
+        docs_rows = [topology_docs(topology, n, p) for p in grid]
         for p, docs in zip(grid, docs_rows):
             lines.append(
                 f"{topology},{n},{_fmt(p)}," + ",".join(_fmt(v) for v in docs)
@@ -267,9 +249,7 @@ def _cmd_crossover(args) -> str:
     elif g.topology == STAR:
         params = Params(0.0, args.alpha, args.omega)
         grid = _parse_grid(args.p_grid)
-        profiles = _map_ordered(
-            lambda p: _numeric_profiles(g, p, params, args), grid
-        )
+        profiles = [_numeric_profiles(g, p, params, args) for p in grid]
         for label, idx in (("center", 0), ("leaf", 1)):
             gaps = np.array([q_ns[idx] - q_os[idx] for q_ns, q_os in profiles])
             found = False
@@ -308,11 +288,6 @@ def _add_method_options(sub):
     sub.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
 
 
-def _add_output_options(sub):
-    sub.add_argument("--out", help="write CSV here instead of stdout")
-    sub.add_argument("--svg", help="also render an SVG line chart to this path")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netsec",
@@ -323,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("disseminate", help="reach probabilities and expected documents")
     _add_graph_options(sub)
     _add_method_options(sub)
-    sub.add_argument("--out", help="write CSV here instead of stdout")
     sub.set_defaults(func=_cmd_disseminate)
 
     sub = subs.add_parser("attack", help="optimal attack against given investments")
@@ -331,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_method_options(sub)
     sub.add_argument("--q", required=True, help="comma-separated investments")
     sub.add_argument("--omega", type=float, default=1.0, help="attacker cost coefficient")
-    sub.add_argument("--out", help="write CSV here instead of stdout")
     sub.set_defaults(func=_cmd_attack)
 
     sub = subs.add_parser("equilibrium", help="equilibrium or socially optimal investments")
@@ -347,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--numeric", action="store_true",
         help="force the iterative solvers even when a closed form applies",
     )
-    sub.add_argument("--out", help="write CSV here instead of stdout")
     sub.set_defaults(func=_cmd_equilibrium)
 
     sub = subs.add_parser("sweep-investments", help="all four investment profiles over a p grid")
@@ -356,14 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--p-grid", default="0:1:101", help="grid as a:b:steps")
     sub.add_argument("--alpha", type=float, default=1.0)
     sub.add_argument("--omega", type=float, default=1.0)
-    _add_output_options(sub)
+    sub.add_argument("--svg", help="also render an SVG line chart to this path")
     sub.set_defaults(func=_cmd_sweep_investments)
 
     sub = subs.add_parser("sweep-documents", help="expected documents over a p grid")
     sub.add_argument("--topology", help="comma-separated topologies (default ring,complete)")
     sub.add_argument("--n", type=int, help="number of agents")
     sub.add_argument("--p-grid", default="0:1:101", help="grid as a:b:steps")
-    _add_output_options(sub)
+    sub.add_argument("--svg", help="also render an SVG line chart to this path")
     sub.set_defaults(func=_cmd_sweep_documents)
 
     sub = subs.add_parser("crossover", help="over- to under-investment crossover report")
@@ -372,9 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--p-grid", default="0:1:101", help="grid for the star sweep")
     sub.add_argument("--alpha", type=float, default=1.0)
     sub.add_argument("--omega", type=float, default=1.0)
-    sub.add_argument("--out", help="write CSV here instead of stdout")
     sub.set_defaults(func=_cmd_crossover)
 
+    for sub in subs.choices.values():
+        sub.add_argument("--out", help="write CSV here instead of stdout")
     return parser
 
 

@@ -31,6 +31,9 @@ _EXACT_BINOM_MAX = 30
 
 _CLAMP_WARN_TOL = 1e-9
 _MC_CHUNK = 50_000
+# Masks labelled per enumeration step; larger chunks buy little speed for
+# megabytes of peak memory.
+_ENUM_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -48,10 +51,8 @@ class Params:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"transmission probability must be in [0, 1], got {self.p}")
-        if self.alpha < 1.0:
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
-        if self.omega < 1.0:
-            raise ValueError(f"omega must be >= 1, got {self.omega}")
+        _check_cost("alpha", self.alpha)
+        _check_cost("omega", self.omega)
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,35 @@ def expected_documents(diss: Dissemination) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Component labelling, shared by exact enumeration and Monte Carlo
+# ---------------------------------------------------------------------------
+
+def _component_labels(present: np.ndarray, edges, n: int) -> np.ndarray:
+    """Per-row component labels by min-label propagation along edges.
+
+    Each row of `present` marks the surviving edges of one sample or subset;
+    every agent ends labelled with the smallest agent index in its component.
+    """
+    labels = np.broadcast_to(np.arange(n, dtype=np.int32), present.shape[:1] + (n,)).copy()
+    changed = True
+    while changed:
+        changed = False
+        for e, (u, v) in enumerate(edges):
+            on = present[:, e]
+            lu, lv = labels[:, u], labels[:, v]
+            low = np.minimum(lu, lv)
+            upd = on & (lu > low)
+            if upd.any():
+                labels[upd, u] = low[upd]
+                changed = True
+            upd = on & (lv > low)
+            if upd.any():
+                labels[upd, v] = low[upd]
+                changed = True
+    return labels
+
+
+# ---------------------------------------------------------------------------
 # Exact enumeration over edge subsets
 # ---------------------------------------------------------------------------
 
@@ -101,34 +131,23 @@ def _subset_counts(edges: tuple[tuple[int, int], ...], n: int):
     counts are independent of p, so one walk serves every p value.
     """
     m = len(edges)
-    pair_counts = np.zeros((n, n, m + 1))
+    iu, ju = np.triu_indices(n, 1)
+    npairs = iu.size
+    pair_bins = np.zeros((m + 1) * npairs)
     all_counts = np.zeros(m + 1)
-    eu = [e[0] for e in edges]
-    ev = [e[1] for e in edges]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for mask in range(1 << m):
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        mm = mask
-        while mm:
-            e = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            ru, rv = find(eu[e]), find(ev[e])
-            if ru != rv:
-                parent[rv] = ru
-        roots = [find(v) for v in range(n)]
-        k = mask.bit_count()
-        for i, j in pairs:
-            if roots[i] == roots[j]:
-                pair_counts[i, j, k] += 1.0
-        if roots.count(roots[0]) == n:
-            all_counts[k] += 1.0
+    bits = np.arange(m)
+    for start in range(0, 1 << m, _ENUM_CHUNK):
+        masks = np.arange(start, min(start + _ENUM_CHUNK, 1 << m))
+        present = ((masks[:, None] >> bits) & 1).astype(bool)
+        k = present.sum(axis=1)
+        labels = _component_labels(present, edges, n)
+        joined = labels[:, iu] == labels[:, ju]
+        slot = k[:, None] * npairs + np.arange(npairs)
+        pair_bins += np.bincount(slot[joined], minlength=pair_bins.size)
+        # Every agent is labelled 0 exactly when all are joined.
+        all_counts += np.bincount(k[(labels == 0).all(axis=1)], minlength=m + 1)
+    pair_counts = np.zeros((n, n, m + 1))
+    pair_counts[iu, ju] = pair_bins.reshape(m + 1, npairs).T
     pair_counts += np.transpose(pair_counts, (1, 0, 2))
     pair_counts.flags.writeable = False
     all_counts.flags.writeable = False
@@ -329,27 +348,6 @@ def reach_closed_form(g: Graph, p: float) -> Dissemination:
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
-def _component_labels(present: np.ndarray, edges, n: int) -> np.ndarray:
-    """Per-sample component labels by min-label propagation along edges."""
-    labels = np.broadcast_to(np.arange(n, dtype=np.int32), present.shape[:1] + (n,)).copy()
-    changed = True
-    while changed:
-        changed = False
-        for e, (u, v) in enumerate(edges):
-            on = present[:, e]
-            lu, lv = labels[:, u], labels[:, v]
-            low = np.minimum(lu, lv)
-            upd = on & (lu > low)
-            if upd.any():
-                labels[upd, u] = low[upd]
-                changed = True
-            upd = on & (lv > low)
-            if upd.any():
-                labels[upd, v] = low[upd]
-                changed = True
-    return labels
-
-
 def reach_monte_carlo(
     g: Graph, p: float, samples: int, seed: int = 0
 ) -> Dissemination:
@@ -444,3 +442,9 @@ def p_for_half_coverage(g: Graph, tolerance: float = 1e-9) -> float:
 def _check_p(p: float) -> None:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"transmission probability must be in [0, 1], got {p}")
+
+
+def _check_cost(name: str, value: float) -> None:
+    """Cost coefficients must be finite and >= 1; NaN fails every comparison."""
+    if not 1.0 <= value < math.inf:
+        raise ValueError(f"{name} must be a finite number >= 1, got {value}")

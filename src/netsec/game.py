@@ -23,6 +23,7 @@ from .attack import (
 from .dissemination import (
     Dissemination,
     Params,
+    _check_cost,
     complete_docs,
     ring_docs,
     star_docs,
@@ -106,8 +107,7 @@ def nash_random(n: int, alpha: float) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if alpha < 1.0:
-        raise ValueError("alpha must be >= 1")
+    _check_cost("alpha", alpha)
     return np.full(n, 1.0 / (alpha * n))
 
 
@@ -115,8 +115,7 @@ def social_optimum_random(docs, alpha: float) -> np.ndarray:
     """Socially optimal investments against a random attack: docs_i / (alpha n)."""
     docs = np.atleast_1d(np.asarray(docs, dtype=float))
     n = docs.size
-    if alpha < 1.0:
-        raise ValueError("alpha must be >= 1")
+    _check_cost("alpha", alpha)
     if (docs > n + 1e-9).any() or (docs < 1.0 - 1e-9).any():
         raise ValueError("expected documents must lie in [1, n]")
     return docs / (alpha * n)
@@ -148,8 +147,7 @@ def social_optimum_strategic_vt(docs, n: int | None = None, alpha: float = 1.0) 
     attacker's strategic edge.
     """
     d, n = _homogeneous_docs(docs, n)
-    if alpha < 1.0:
-        raise ValueError("alpha must be >= 1")
+    _check_cost("alpha", alpha)
     return np.full(n, d / (alpha * n))
 
 
@@ -162,8 +160,8 @@ def nash_strategic_vt(
     common expected-document count.
     """
     d, n = _homogeneous_docs(docs, n)
-    if alpha < 1.0 or omega < 1.0:
-        raise ValueError("alpha and omega must be >= 1")
+    _check_cost("alpha", alpha)
+    _check_cost("omega", omega)
     spread = (n - d) * d
     return np.full(n, (spread + omega) / (spread + alpha * n * omega))
 
@@ -426,8 +424,8 @@ def find_crossover_p(
     With details=True also returns every sign change found on a fine grid
     and the interval where the unique-crossover condition holds.
     """
-    if alpha < 1.0 or omega < 1.0:
-        raise ValueError("alpha and omega must be >= 1")
+    _check_cost("alpha", alpha)
+    _check_cost("omega", omega)
     eps = 1e-9
 
     def gap(p):
@@ -508,8 +506,7 @@ def star_uniform_attack_strategy(n: int, p: float, alpha: float) -> StarUniformS
     """
     if n < 3:
         raise ValueError(f"needs n >= 3, got {n}")
-    if alpha < 1.0:
-        raise ValueError("alpha must be >= 1")
+    _check_cost("alpha", alpha)
     hub, leaf = star_docs(n, p)
     ratio = leaf / hub
     q_leaf = (leaf / alpha - ratio + ratio**2) / (ratio**2 + n - 1)
@@ -531,8 +528,8 @@ def star_sacrificial_lamb(n: int, p: float, alpha: float, omega: float) -> StarL
     """
     if n < 3:
         raise ValueError(f"needs n >= 3, got {n}")
-    if alpha < 1.0 or omega < 1.0:
-        raise ValueError("alpha and omega must be >= 1")
+    _check_cost("alpha", alpha)
+    _check_cost("omega", omega)
     hub, leaf = star_docs(n, p)
     q_leaf_min = omega / leaf
     q_center_min = (omega + hub - leaf) / hub

@@ -164,7 +164,6 @@ def load_edge_list(text: str) -> Graph:
     rejected.
     """
     edges: set[tuple[int, int]] = set()
-    max_node = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -181,10 +180,15 @@ def load_edge_list(text: str) -> Graph:
         if u == v:
             raise ValueError(f"line {lineno}: self-loop on agent {u}")
         edges.add((min(u, v), max(u, v)))
-        max_node = max(max_node, u, v)
     if not edges:
         raise ValueError("edge list is empty")
-    n = max_node + 1
+    # An id missing below the largest one is an isolated agent; reject it
+    # before allocating the n x n adjacency from that largest id.
+    nodes = sorted({v for edge in edges for v in edge})
+    n = len(nodes)
+    if nodes[-1] != n - 1:
+        missing = next(i for i, v in enumerate(nodes) if i != v)
+        raise ValueError(f"graph is disconnected: agent {missing} appears in no edge")
     adj = np.zeros((n, n), dtype=bool)
     for u, v in edges:
         adj[u, v] = adj[v, u] = True

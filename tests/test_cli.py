@@ -63,6 +63,26 @@ def test_attack_wrong_q_length_exits_2(capsys):
     assert "needs 4 entries" in err
 
 
+_RING4_ATTACK = ("attack", "--topology", "ring", "--n", "4", "--p", "0.5")
+_EQUILIBRIUM = ("equilibrium", "--regime", "nash-strategic", "--p", "0.5", "--n", "4")
+
+
+@pytest.mark.parametrize("argv", [
+    (*_RING4_ATTACK, "--q", "0.1,0.2,nan,0.3"),
+    (*_RING4_ATTACK, "--q", "0.1,0.2,0.2,0.3", "--omega", "inf"),
+    (*_RING4_ATTACK, "--q", "0.1,0.2,0.2,0.3", "--omega", "nan"),
+    (*_EQUILIBRIUM, "--topology", "star", "--alpha", "nan"),
+    (*_EQUILIBRIUM, "--topology", "ring", "--alpha", "nan"),
+    (*_EQUILIBRIUM, "--topology", "ring", "--omega", "inf"),
+])
+def test_non_finite_numbers_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_equilibrium_closed_form_endpoints(capsys):
     code, out, _ = run_cli(
         capsys, "equilibrium", "--regime", "nash-strategic", "--topology",
@@ -232,19 +252,6 @@ def test_nonconvergence_maps_to_exit_3(capsys, monkeypatch):
     )
     assert code == 3
     assert "converge" in err
-
-
-def test_threaded_sweep_identical_output(capsys, monkeypatch, tmp_path):
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threads.csv"
-    args = (
-        "sweep-investments", "--topology", "star", "--n", "4",
-        "--p-grid", "0.1:0.9:5",
-    )
-    run_cli(capsys, *args, "--out", str(serial))
-    monkeypatch.setenv("NETSEC_THREADS", "3")
-    run_cli(capsys, *args, "--out", str(threaded))
-    assert serial.read_bytes() == threaded.read_bytes()
 
 
 def test_number_formatting_12_digits(capsys):

@@ -102,6 +102,28 @@ def test_exact_agrees_with_brute_force_oracle():
             )
 
 
+def test_exact_invariant_to_enumeration_chunk(monkeypatch):
+    # 2**11 masks in chunks of 100 span 21 chunks, the last one short; the
+    # counts must equal those of a single-chunk walk.
+    import netsec.dissemination as diss_mod
+
+    g = load_edge_list("0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n6 0\n0 3\n1 5\n2 6\n3 5")
+    assert g.edge_count >= 10
+    results = {}
+    for chunk in (1 << g.edge_count, 100):
+        monkeypatch.setattr(diss_mod, "_ENUM_CHUNK", chunk)
+        diss_mod._subset_counts.cache_clear()
+        results[chunk] = (reach_exact(g, 0.35).reach, connected_probability_exact(g, 0.35))
+    diss_mod._subset_counts.cache_clear()
+    (full, full_all), (chunked, chunked_all) = results.values()
+    assert np.array_equal(full, chunked)
+    assert full_all == chunked_all
+    for i, j in [(0, 1), (2, 5), (4, 6)]:
+        assert chunked[i, j] == pytest.approx(
+            brute_force_pair_probability(g, 0.35, i, j), abs=1e-12
+        )
+
+
 def test_exact_rejects_large_graphs():
     with pytest.raises(ValueError, match="at most"):
         reach_exact(complete_graph(8), 0.5)  # 28 edges

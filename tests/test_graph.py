@@ -64,6 +64,14 @@ def test_load_edge_list_rejects_disconnected():
         load_edge_list("0 1\n2 3")
 
 
+@pytest.mark.parametrize("text, missing", [("0 1\n1 3", 2), ("0 100000000", 1)])
+def test_load_edge_list_rejects_gapped_ids_before_allocating(text, missing):
+    # The id check runs before the n x n adjacency is allocated, so the huge
+    # id raises ValueError rather than asking numpy for ~10**16 bytes.
+    with pytest.raises(ValueError, match=f"disconnected: agent {missing} "):
+        load_edge_list(text)
+
+
 def test_load_edge_list_rejects_self_loop():
     with pytest.raises(ValueError, match="self-loop"):
         load_edge_list("0 0")
