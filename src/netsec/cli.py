@@ -31,6 +31,9 @@ from .graph import COMPLETE, CUSTOM, RING, STAR, Graph, build_topology, load_edg
 
 _VT_TOPOLOGIES = (RING, COMPLETE)
 
+# Named topologies hold n x n float matrices; 1000 agents keep each at 8 MB.
+MAX_AGENTS = 1000
+
 
 def _fmt(x: float) -> str:
     """12 significant digits, the fixed CSV number format."""
@@ -48,6 +51,16 @@ def _parse_grid(text: str) -> np.ndarray:
     if not (0.0 <= lo < hi <= 1.0):
         raise ValueError("p-grid bounds must satisfy 0 <= a < b <= 1")
     return np.linspace(lo, hi, steps)
+
+
+def _agent_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n > MAX_AGENTS:
+        raise argparse.ArgumentTypeError(f"at most {MAX_AGENTS} agents, got {n}")
+    return n
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -163,18 +176,16 @@ def _cmd_equilibrium(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _numeric_profiles(g: Graph, p: float, params_base: Params, args):
-    """(q_NS, q_OS) from the iterative solvers at one grid point."""
-    params = Params(p, params_base.alpha, params_base.omega)
+def _regime_profiles(g: Graph, p: float, args):
+    """Investments under each of game.REGIMES, in order, at one grid point."""
+    params = Params(p, args.alpha, args.omega)
     diss = _resolve_dissemination(g, p, args)
-    q_ns = game.best_response_dynamics(g, diss, params).q
-    q_os = game.social_optimum_numeric(g, diss, params).q
-    return q_ns, q_os
+    return [_equilibrium_q(g, diss, params, r, False) for r in game.REGIMES]
 
 
 def _cmd_sweep_investments(args) -> str:
     g = _resolve_graph(args)
-    params = Params(0.0, args.alpha, args.omega)
+    Params(0.0, args.alpha, args.omega)  # checks the costs before any grid point
     grid = _parse_grid(args.p_grid)
     n = g.n
     vt_closed = g.topology in _VT_TOPOLOGIES
@@ -194,11 +205,7 @@ def _cmd_sweep_investments(args) -> str:
             header.extend(f"{tag}_{i}" for i in range(n))
 
         def row(p):
-            diss = _resolve_dissemination(g, p, args)
-            q_nr = game.nash_random(n, args.alpha)
-            q_or = game.social_optimum_random(diss.expected_docs, args.alpha)
-            q_ns, q_os = _numeric_profiles(g, p, params, args)
-            return [p, *q_nr, *q_or, *q_ns, *q_os]
+            return [p, *np.concatenate(_regime_profiles(g, p, args))]
 
     rows = [row(p) for p in grid]
     lines = [",".join(header)]
@@ -247,11 +254,10 @@ def _cmd_crossover(args) -> str:
         for extra in info["sign_changes"][1:]:
             lines.append(f"all,{_fmt(extra)}")
     elif g.topology == STAR:
-        params = Params(0.0, args.alpha, args.omega)
         grid = _parse_grid(args.p_grid)
-        profiles = [_numeric_profiles(g, p, params, args) for p in grid]
+        profiles = [_regime_profiles(g, p, args) for p in grid]
         for label, idx in (("center", 0), ("leaf", 1)):
-            gaps = np.array([q_ns[idx] - q_os[idx] for q_ns, q_os in profiles])
+            gaps = np.array([q_ns[idx] - q_os[idx] for _, _, q_ns, q_os in profiles])
             found = False
             for k in np.nonzero(np.sign(gaps[:-1]) * np.sign(gaps[1:]) < 0)[0]:
                 frac = gaps[k] / (gaps[k] - gaps[k + 1])
@@ -273,7 +279,7 @@ def _cmd_crossover(args) -> str:
 
 def _add_graph_options(sub, need_p=True):
     sub.add_argument("--topology", choices=[RING, STAR, COMPLETE], help="named topology family")
-    sub.add_argument("--n", type=int, help="number of agents")
+    sub.add_argument("--n", type=_agent_count, help="number of agents")
     sub.add_argument("--edges", help="edge-list file, one 'u v' pair per line")
     if need_p:
         sub.add_argument("--p", type=float, required=True, help="transmission probability")
@@ -333,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("sweep-documents", help="expected documents over a p grid")
     sub.add_argument("--topology", help="comma-separated topologies (default ring,complete)")
-    sub.add_argument("--n", type=int, help="number of agents")
+    sub.add_argument("--n", type=_agent_count, help="number of agents")
     sub.add_argument("--p-grid", default="0:1:101", help="grid as a:b:steps")
     sub.add_argument("--svg", help="also render an SVG line chart to this path")
     sub.set_defaults(func=_cmd_sweep_documents)

@@ -49,8 +49,7 @@ class Params:
     omega: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"transmission probability must be in [0, 1], got {self.p}")
+        _check_p(self.p)
         _check_cost("alpha", self.alpha)
         _check_cost("omega", self.omega)
 
@@ -311,6 +310,8 @@ def topology_docs(topology: str, n: int, p: float) -> np.ndarray:
             raise ValueError("ring needs n >= 3")
         return np.full(n, ring_docs(n, p))
     if topology == STAR:
+        if n < 2:
+            raise ValueError("star needs n >= 2")
         hub, leaf = star_docs(n, p)
         docs = np.full(n, leaf)
         docs[0] = hub

@@ -170,15 +170,18 @@ def nash_strategic_vt(
 # Iterative solvers
 # ---------------------------------------------------------------------------
 
-def _coupled_reward_gradient(i, q, docs, reach, alpha, omega):
-    """d reward_i / d q_i with the attacker re-solved at q.
+def _reward_derivatives(i, q, docs, reach, alpha, omega):
+    """First and second derivatives of reward_i in q_i, attacker re-solved at q.
 
-    Equals a_i - sum_j (d a_j / d q_i)(1 - q_j) reach[i, j] - alpha q_i;
-    the middle term vanishes when agent i is not attacked.
+    The first equals a_i - sum_j (d a_j / d q_i)(1 - q_j) reach[i, j] -
+    alpha q_i; the middle term vanishes when agent i is not attacked.  The
+    second is the curvature of the current active-set region,
+    -2 docs_i (k - 1) / (omega k) - alpha with k active agents, or -alpha
+    when agent i is not attacked.
     """
     sol = optimal_attack(q, docs, omega)
     if sol.a[i] <= 0.0:
-        return -alpha * q[i], sol
+        return -alpha * q[i], -alpha
     k = sol.n_star
     others = sol.active[sol.active != i]
     coupling = (
@@ -186,7 +189,8 @@ def _coupled_reward_gradient(i, q, docs, reach, alpha, omega):
         / (omega * k)
         * (((1.0 - q[others]) * reach[i, others]).sum() - (k - 1) * (1.0 - q[i]))
     )
-    return sol.a[i] - coupling - alpha * q[i], sol
+    curvature = -2.0 * docs[i] * (k - 1) / (omega * k) - alpha
+    return sol.a[i] - coupling - alpha * q[i], curvature
 
 
 def _best_response(i, q, docs, reach, alpha, omega, gtol=1e-10):
@@ -198,30 +202,24 @@ def _best_response(i, q, docs, reach, alpha, omega, gtol=1e-10):
     """
     work = q.copy()
 
-    def grad(x):
+    def derivatives(x):
         work[i] = x
-        return _coupled_reward_gradient(i, work, docs, reach, alpha, omega)
+        return _reward_derivatives(i, work, docs, reach, alpha, omega)
 
-    g_lo, _ = grad(0.0)
-    if g_lo <= 0.0:
+    if derivatives(0.0)[0] <= 0.0:
         return 0.0
-    g_hi, _ = grad(1.0)
-    if g_hi >= 0.0:
+    if derivatives(1.0)[0] >= 0.0:
         return 1.0
     lo, hi = 0.0, 1.0
     x = 0.5
     for _ in range(200):
-        g, sol = grad(x)
+        g, curvature = derivatives(x)
         if abs(g) <= gtol:
             return x
         if g > 0.0:
             lo = x
         else:
             hi = x
-        if sol.a[i] > 0.0 and sol.n_star > 1:
-            curvature = -2.0 * docs[i] * (sol.n_star - 1) / (omega * sol.n_star) - alpha
-        else:
-            curvature = -alpha
         newton = x - g / curvature
         x = newton if lo < newton < hi else 0.5 * (lo + hi)
         if hi - lo < 1e-15:
@@ -271,24 +269,21 @@ def best_response_dynamics(
     )
 
 
-def _welfare(q, docs, alpha, omega):
-    sol = optimal_attack(q, docs, omega)
-    return docs.size - expected_stolen(sol.a, q, docs) - 0.5 * alpha * float(q @ q)
+def _welfare_and_gradient(q, docs, alpha, omega):
+    """Welfare at q and its gradient through the attacker's best response.
 
-
-def _welfare_gradient(q, docs, alpha, omega):
-    """Gradient of welfare through the attacker's best response.
-
-    On the active set, d welfare / d q_i = docs_i (2 a_i - 1/k) - alpha q_i
-    with k active agents; inactive agents only feel their own cost.  Uses
-    the active-region sensitivity formula, so it is a supergradient choice
-    at active-set boundaries.
+    Both come from one attack solve, which is returned too.  On the active
+    set, d welfare / d q_i = docs_i (2 a_i - 1/k) - alpha q_i with k active
+    agents; inactive agents only feel their own cost.  Uses the
+    active-region sensitivity formula, so it is a supergradient choice at
+    active-set boundaries.
     """
     sol = optimal_attack(q, docs, omega)
+    value = docs.size - expected_stolen(sol.a, q, docs) - 0.5 * alpha * float(q @ q)
     grad = -alpha * q
     act = sol.active
     grad[act] += docs[act] * (2.0 * sol.a[act] - 1.0 / sol.n_star)
-    return grad, sol
+    return value, grad, sol
 
 
 def _directional_curvature(direction, sol, docs, alpha, omega):
@@ -338,10 +333,9 @@ def social_optimum_numeric(
     failures = 0
     for q0 in starts:
         q = q0.copy()
-        value = _welfare(q, docs, alpha, omega)
+        value, grad, sol = _welfare_and_gradient(q, docs, alpha, omega)
         converged = False
         for _ in range(max_iter):
-            grad, sol = _welfare_gradient(q, docs, alpha, omega)
             if np.abs(np.clip(q + ref_step * grad, 0.0, 1.0) - q).max() <= tol * ref_step:
                 converged = True
                 break
@@ -352,17 +346,15 @@ def social_optimum_numeric(
             step = float(grad @ direction) / curvature
             # The step is exact for the region's quadratic; backtrack only if
             # crossing an active-set kink actually loses welfare.
-            accepted = False
             while step > 1e-16:
                 trial = np.clip(q + step * direction, 0.0, 1.0)
-                trial_value = _welfare(trial, docs, alpha, omega)
-                if trial_value >= value - 1e-12:
-                    accepted = True
+                evaluated = _welfare_and_gradient(trial, docs, alpha, omega)
+                if evaluated[0] >= value - 1e-12:
                     break
                 step *= 0.5
-            if not accepted:
+            else:
                 break  # wedged against a kink at machine precision
-            q, value = trial, trial_value
+            q, (value, grad, sol) = trial, evaluated
         if converged:
             if value > best_welfare:
                 best_q, best_welfare = q, value

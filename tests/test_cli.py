@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from netsec import cli, game
-from netsec.dissemination import complete_docs
+from netsec.dissemination import complete_docs, disseminate
 from netsec.game import NonConvergenceError
 
 
 def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse rejects an argument
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -252,6 +255,33 @@ def test_nonconvergence_maps_to_exit_3(capsys, monkeypatch):
     )
     assert code == 3
     assert "converge" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep-documents", "--topology", "star", "--n", "0", "--p-grid", "0:1:3"),
+    ("disseminate", "--topology", "ring", "--n", str(cli.MAX_AGENTS + 1), "--p", "0.5"),
+    ("disseminate", "--topology", "ring", "--n", str(10**12), "--p", "0.5"),
+])
+def test_agent_count_out_of_range_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+
+
+def test_star_sweep_builds_one_dissemination_per_point(capsys, monkeypatch):
+    calls = []
+
+    def counting_disseminate(*args, **kwargs):
+        calls.append(args[1])
+        return disseminate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "disseminate", counting_disseminate)
+    code, _, _ = run_cli(
+        capsys, "sweep-investments", "--topology", "star", "--n", "4", "--p-grid", "0:1:5",
+    )
+    assert code == 0
+    assert calls == list(np.linspace(0.0, 1.0, 5))
 
 
 def test_number_formatting_12_digits(capsys):

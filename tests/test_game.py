@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from netsec import game
 from netsec.attack import breach_probabilities, optimal_attack
 from netsec.dissemination import (
     Params,
     complete_docs,
     complete_pair_bounds,
     reach_closed_form,
+    reach_exact,
     ring_docs,
     star_docs,
 )
@@ -25,7 +27,7 @@ from netsec.game import (
     star_uniform_attack_strategy,
     unique_crossover_condition,
 )
-from netsec.graph import complete_graph, ring_graph, star_graph
+from netsec.graph import complete_graph, load_edge_list, ring_graph, star_graph
 
 P_GRID = [round(0.1 * k, 1) for k in range(1, 10)]
 
@@ -260,6 +262,28 @@ def test_social_optimum_numeric_regime_tag():
     out = social_optimum_numeric(g, _closed_diss(g, 0.5), Params(0.5, 1.0, 1.0))
     assert out.regime == "opt-strategic"
     assert out.attack is not None
+
+
+@pytest.mark.parametrize("g, p, diss_of", [
+    (star_graph(5), 0.5, reach_closed_form),
+    (ring_graph(5), 0.3, reach_closed_form),
+    (load_edge_list("0 1\n1 2\n2 3\n0 2\n"), 0.6, reach_exact),
+])
+def test_social_optimum_solves_each_point_once(monkeypatch, g, p, diss_of):
+    # The line search's accepted trial carries its welfare, gradient and
+    # attack into the next iteration, so no point is solved twice in a row.
+    solved = []
+
+    def recording_attack(q, docs, omega):
+        solved.append(np.asarray(q, dtype=float).tobytes())
+        return optimal_attack(q, docs, omega)
+
+    monkeypatch.setattr(game, "optimal_attack", recording_attack)
+    social_optimum_numeric(g, diss_of(g, p), Params(p, 1.0, 1.0))
+    searched = solved[:-1]  # the last solve is evaluate_outcome's, at the winner
+    repeats = sum(a == b for a, b in zip(searched, searched[1:]))
+    assert len(searched) > 8
+    assert repeats == 0
 
 
 # ---------------------------------------------------------------------------
