@@ -55,12 +55,37 @@ def _as_security(q, n: int | None = None) -> np.ndarray:
     return np.clip(q, 0.0, 1.0)
 
 
+def _water_fill(v, omega: float):
+    """Unchecked water-filling scan: (a, lam, active) for the values v.
+
+    Sorts v descending (stable, so ties break by agent index) and scans for
+    the largest prefix k whose water level lam_k = (omega - sum of top k) / k
+    keeps the k-th value positive.  The solvers call this directly on
+    inputs they have already checked; `optimal_attack` is the checked entry.
+    """
+    n = v.size
+    if n == 1:
+        return np.ones(1), float(omega - v[0]), np.arange(1)
+    vs = v[(-v).argsort(kind="stable")]
+    if vs[0] == vs[-1]:
+        # All-equal values: the solution is exactly uniform.
+        return np.full(n, 1.0 / n), float(omega / n - v[0]), np.arange(n)
+    lams = (omega - vs.cumsum()) / np.arange(1, n + 1)
+    k = int((vs + lams > BOUNDARY_TOL).nonzero()[0][-1]) + 1
+    lam = float(lams[k - 1])
+    # One correction pass pins the simplex sum to machine precision.
+    lam += (1.0 - np.maximum(v + lam, 0.0).sum() / omega) * omega / k
+    level = v + lam
+    a = np.maximum(level, 0.0) / omega
+    a[level <= BOUNDARY_TOL] = 0.0
+    return a, lam, a.nonzero()[0]
+
+
 def optimal_attack(q, docs, omega: float) -> AttackSolution:
     """Solve the attacker's simplex-constrained quadratic program exactly.
 
-    Sorts v_i = (1 - q_i) * docs_i descending (stable, so ties break by
-    agent index) and scans for the largest prefix k whose water level
-    lam_k = (omega - sum of top k) / k keeps the k-th value positive.
+    Checks the inputs, then runs the water-filling scan on
+    v_i = (1 - q_i) * docs_i.
     """
     q = _as_security(q)
     docs = np.atleast_1d(np.asarray(docs, dtype=float))
@@ -69,25 +94,7 @@ def optimal_attack(q, docs, omega: float) -> AttackSolution:
     _check_cost("omega", omega)
     if (docs < 1.0 - 1e-9).any():
         raise ValueError("expected documents are always >= 1 on a connected graph")
-    n = q.size
-    v = (1.0 - q) * docs
-    if n == 1:
-        return AttackSolution(np.ones(1), float(omega - v[0]), np.arange(1))
-    if v.max() == v.min():
-        # All-equal values: the solution is exactly uniform.
-        return AttackSolution(np.full(n, 1.0 / n), float(omega / n - v[0]), np.arange(n))
-    order = np.argsort(-v, kind="stable")
-    vs = v[order]
-    ks = np.arange(1, n + 1)
-    lams = (omega - np.cumsum(vs)) / ks
-    positive = vs + lams > BOUNDARY_TOL
-    k = int(np.nonzero(positive)[0][-1]) + 1
-    lam = float(lams[k - 1])
-    # One correction pass pins the simplex sum to machine precision.
-    lam += (1.0 - np.maximum(v + lam, 0.0).sum() / omega) * omega / k
-    a = np.maximum(v + lam, 0.0) / omega
-    a[v + lam <= BOUNDARY_TOL] = 0.0
-    return AttackSolution(a, lam, np.nonzero(a > 0.0)[0])
+    return AttackSolution(*_water_fill((1.0 - q) * docs, omega))
 
 
 def kkt_residual(sol: AttackSolution, q, docs, omega: float) -> float:

@@ -34,6 +34,9 @@ _VT_TOPOLOGIES = (RING, COMPLETE)
 # Named topologies hold n x n float matrices; 1000 agents keep each at 8 MB.
 MAX_AGENTS = 1000
 
+# A p grid finer than steps of 1e-4 over [0, 1] is refused before allocating.
+MAX_GRID_STEPS = 10_001
+
 
 def _fmt(x: float) -> str:
     """12 significant digits, the fixed CSV number format."""
@@ -46,8 +49,8 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, steps = float(lo_s), float(hi_s), int(steps_s)
     except ValueError:
         raise ValueError(f"expected --p-grid as a:b:steps, got {text!r}") from None
-    if steps < 2:
-        raise ValueError("p-grid needs at least 2 steps")
+    if not 2 <= steps <= MAX_GRID_STEPS:
+        raise ValueError(f"p-grid needs 2 to {MAX_GRID_STEPS} steps, got {steps}")
     if not (0.0 <= lo < hi <= 1.0):
         raise ValueError("p-grid bounds must satisfy 0 <= a < b <= 1")
     return np.linspace(lo, hi, steps)
@@ -145,7 +148,8 @@ def _equilibrium_q(g: Graph, diss, params: Params, regime: str, numeric: bool):
         return game.nash_random(n, params.alpha)
     if regime == game.OPT_RANDOM:
         return game.social_optimum_random(docs, params.alpha)
-    closed_ok = g.topology in _VT_TOPOLOGIES and not numeric
+    # Monte Carlo docs on a ring or complete graph are never exactly equal.
+    closed_ok = g.topology in _VT_TOPOLOGIES and not numeric and game._is_homogeneous(docs)
     if regime == game.NASH_STRATEGIC:
         if closed_ok:
             return game.nash_strategic_vt(docs, n, params.alpha, params.omega)

@@ -5,7 +5,8 @@ random (uniform) attack both the Nash equilibrium and the social optimum
 have closed forms on any graph.  Against a strategic attack, closed forms
 exist when every agent expects the same document count (vertex-transitive
 networks); general graphs are handled by best-response dynamics and
-projected gradient ascent on welfare.
+projected Newton ascent on welfare.  Both iterate on the unchecked
+water-fill kernel `_water_fill`, checking their inputs once on entry.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import numpy as np
 
 from .attack import (
     AttackSolution,
+    _as_security,
+    _water_fill,
     breach_probabilities,
     expected_stolen,
     optimal_attack,
@@ -121,10 +124,17 @@ def social_optimum_random(docs, alpha: float) -> np.ndarray:
     return docs / (alpha * n)
 
 
+def _is_homogeneous(docs) -> bool:
+    """Whether all agents expect the same document count, so the
+    vertex-transitive closed forms apply."""
+    arr = np.atleast_1d(np.asarray(docs, dtype=float))
+    return bool(arr.max() - arr.min() <= _HOMOGENEITY_TOL)
+
+
 def _homogeneous_docs(docs, n: int | None) -> tuple[float, int]:
     arr = np.atleast_1d(np.asarray(docs, dtype=float))
     if arr.size > 1:
-        if arr.max() - arr.min() > _HOMOGENEITY_TOL:
+        if not _is_homogeneous(arr):
             raise ValueError(
                 "expected-document entries differ; this closed form only "
                 "applies when all agents expect the same count"
@@ -179,18 +189,18 @@ def _reward_derivatives(i, q, docs, reach, alpha, omega):
     -2 docs_i (k - 1) / (omega k) - alpha with k active agents, or -alpha
     when agent i is not attacked.
     """
-    sol = optimal_attack(q, docs, omega)
-    if sol.a[i] <= 0.0:
+    a, _, active = _water_fill((1.0 - q) * docs, omega)
+    if a[i] <= 0.0:
         return -alpha * q[i], -alpha
-    k = sol.n_star
-    others = sol.active[sol.active != i]
+    k = active.size
+    others = active[active != i]
     coupling = (
         docs[i]
         / (omega * k)
         * (((1.0 - q[others]) * reach[i, others]).sum() - (k - 1) * (1.0 - q[i]))
     )
     curvature = -2.0 * docs[i] * (k - 1) / (omega * k) - alpha
-    return sol.a[i] - coupling - alpha * q[i], curvature
+    return a[i] - coupling - alpha * q[i], curvature
 
 
 def _best_response(i, q, docs, reach, alpha, omega, gtol=1e-10):
@@ -248,9 +258,7 @@ def best_response_dynamics(
     docs = np.asarray(diss.expected_docs, dtype=float)
     reach = diss.reach
     n = g.n
-    q = np.full(n, 0.5) if q0 is None else np.asarray(q0, dtype=float).copy()
-    if q.shape != (n,):
-        raise ValueError(f"q0 must have length {n}")
+    q = np.full(n, 0.5) if q0 is None else _as_security(q0, n)
     delta = np.inf
     for _ in range(max_iter):
         delta = 0.0
@@ -270,32 +278,41 @@ def best_response_dynamics(
 
 
 def _welfare_and_gradient(q, docs, alpha, omega):
-    """Welfare at q and its gradient through the attacker's best response.
+    """Welfare at q, its gradient through the attacker's best response, and
+    the attacked agents.
 
-    Both come from one attack solve, which is returned too.  On the active
-    set, d welfare / d q_i = docs_i (2 a_i - 1/k) - alpha q_i with k active
+    All three come from one kernel call.  On the active set,
+    d welfare / d q_i = docs_i (2 a_i - 1/k) - alpha q_i with k active
     agents; inactive agents only feel their own cost.  Uses the
     active-region sensitivity formula, so it is a supergradient choice at
     active-set boundaries.
     """
-    sol = optimal_attack(q, docs, omega)
-    value = docs.size - expected_stolen(sol.a, q, docs) - 0.5 * alpha * float(q @ q)
+    v = (1.0 - q) * docs
+    a, _, active = _water_fill(v, omega)
+    value = docs.size - float(a @ v) - 0.5 * alpha * float(q @ q)
     grad = -alpha * q
-    act = sol.active
-    grad[act] += docs[act] * (2.0 * sol.a[act] - 1.0 / sol.n_star)
-    return value, grad, sol
+    grad[active] += docs[active] * (2.0 * a[active] - 1.0 / active.size)
+    return value, grad, active
 
 
-def _directional_curvature(direction, sol, docs, alpha, omega):
-    """-d'Hd for the welfare Hessian of the current active-set region.
+def _newton_direction(grad, free, active, docs, alpha, omega):
+    """Newton direction of the current active-set region on the free
+    coordinates, zero elsewhere.
 
-    Within a region the welfare is an exact quadratic with
-    -d'Hd = alpha |d|^2 + (2/omega) sum((w - mean w)^2), w = docs*d on the
-    active set, so an exact maximizing line step is available.
+    Within a region the welfare is an exact quadratic whose negated Hessian
+    on the free coordinates is diag(m) - u u' / k, with
+    m_i = alpha + (2/omega) docs_i^2 on the active set (alpha off it),
+    u_i = sqrt(2/omega) docs_i on the free active coordinates and k active
+    agents.  Sherman-Morrison solves it in O(n); the denominator
+    k - u' M^-1 u is positive because alpha > 0.
     """
-    w = docs[sol.active] * direction[sol.active]
-    centered = w @ w - w.sum() ** 2 / sol.n_star
-    return alpha * float(direction @ direction) + 2.0 / omega * float(centered)
+    attacked = np.zeros(docs.size, dtype=bool)
+    attacked[active] = True
+    m = alpha + 2.0 / omega * docs**2 * attacked
+    u = np.sqrt(2.0 / omega) * docs * (attacked & free)
+    m_grad = np.where(free, grad, 0.0) / m
+    m_u = u / m
+    return m_grad + m_u * (float(u @ m_grad) / (active.size - float(u @ m_u)))
 
 
 def social_optimum_numeric(
@@ -306,16 +323,18 @@ def social_optimum_numeric(
     max_iter: int = 20_000,
     seed: int = 0,
 ) -> GameOutcome:
-    """Welfare maximization over investments by projected gradient ascent.
+    """Welfare maximization over investments by projected Newton ascent.
 
     Runs from uniform starts {0.1, 0.5, 0.9} plus five seeded random
-    starts, taking the exact maximizing line step of the current
-    active-set region's quadratic (halved when a step across a region
-    kink loses welfare) with box projection onto [0, 1]^n; the
-    best-welfare converged run wins.  Convergence is a projected gradient
-    norm <= tol at a fixed reference step.  On graphs without a
-    homogeneity guarantee the winner is the best stationary point found,
-    not a certified global optimum.
+    starts.  Each iteration takes the Newton direction of the current
+    active-set region's quadratic on the coordinates not held at a bound
+    of [0, 1]^n, and halves the step from 1 until the box-projected trial
+    passes the Armijo test W(trial) >= W(q) + 1e-4 g'(trial - q) (Bertsekas,
+    SIAM J. Control Optim. 1982); a start that cannot pass it at any step
+    has failed.  Convergence is a projected gradient norm <= tol at a fixed
+    reference step, and the best-welfare converged run wins.  On graphs
+    without a homogeneity guarantee the winner is the best stationary point
+    found, not a certified global optimum.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -333,28 +352,24 @@ def social_optimum_numeric(
     failures = 0
     for q0 in starts:
         q = q0.copy()
-        value, grad, sol = _welfare_and_gradient(q, docs, alpha, omega)
+        value, grad, active = _welfare_and_gradient(q, docs, alpha, omega)
         converged = False
         for _ in range(max_iter):
             if np.abs(np.clip(q + ref_step * grad, 0.0, 1.0) - q).max() <= tol * ref_step:
                 converged = True
                 break
-            # Ascend along the gradient restricted to coordinates free to move.
             blocked = ((q <= 0.0) & (grad < 0.0)) | ((q >= 1.0) & (grad > 0.0))
-            direction = np.where(blocked, 0.0, grad)
-            curvature = _directional_curvature(direction, sol, docs, alpha, omega)
-            step = float(grad @ direction) / curvature
-            # The step is exact for the region's quadratic; backtrack only if
-            # crossing an active-set kink actually loses welfare.
+            direction = _newton_direction(grad, ~blocked, active, docs, alpha, omega)
+            step = 1.0
             while step > 1e-16:
                 trial = np.clip(q + step * direction, 0.0, 1.0)
                 evaluated = _welfare_and_gradient(trial, docs, alpha, omega)
-                if evaluated[0] >= value - 1e-12:
+                if evaluated[0] >= value + 1e-4 * float(grad @ (trial - q)):
                     break
                 step *= 0.5
             else:
-                break  # wedged against a kink at machine precision
-            q, (value, grad, sol) = trial, evaluated
+                break  # wedged: no step passes the Armijo test
+            q, (value, grad, active) = trial, evaluated
         if converged:
             if value > best_welfare:
                 best_q, best_welfare = q, value

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from netsec.attack import (
+    _water_fill,
     attack_sensitivity,
     attacker_payoff,
     breach_probabilities,
@@ -168,6 +169,51 @@ def test_water_level_scan_accepts_exactly_one_prefix():
             and (k == n or v[k] + lams[k - 1] <= 0)
         ]
         assert len(accepted) == 1
+
+
+def reference_water_fill(v, omega, tol=1e-12):
+    """Reference: the sort-and-scan as first written, before its numpy calls
+    were trimmed; the arithmetic is the same, so results must match bit for
+    bit."""
+    n = v.size
+    if n == 1:
+        return np.ones(1), float(omega - v[0]), np.arange(1)
+    if v.max() == v.min():
+        return np.full(n, 1.0 / n), float(omega / n - v[0]), np.arange(n)
+    vs = v[np.argsort(-v, kind="stable")]
+    lams = (omega - np.cumsum(vs)) / np.arange(1, n + 1)
+    k = int(np.nonzero(vs + lams > tol)[0][-1]) + 1
+    lam = float(lams[k - 1])
+    lam += (1.0 - np.maximum(v + lam, 0.0).sum() / omega) * omega / k
+    a = np.maximum(v + lam, 0.0) / omega
+    a[v + lam <= tol] = 0.0
+    return a, lam, np.nonzero(a > 0.0)[0]
+
+
+def test_water_fill_kernel_matches_checked_solver():
+    # The solvers call the unchecked kernel directly; it must return exactly
+    # what the checked entry point and the reference scan do, on generic
+    # values, ties, all-equal values and a single agent.
+    rng = np.random.default_rng(11)
+    cases = [random_instance(rng) for _ in range(50)]
+    cases += [random_instance(rng, n) for n in (30, 200) for _ in range(5)]
+    cases += [
+        (np.array([0.2, 0.2, 0.5, 0.2]), np.array([3.0, 3.0, 1.0, 3.0]), 1.0),
+        (np.array([0.0, 0.5, 0.0, 0.5]), np.array([2.0, 4.0, 2.0, 4.0]), 2.5),
+        (np.full(6, 0.4), np.full(6, 2.0), 1.0),
+        (np.full(3, 1.0), np.full(3, 1.5), 3.0),
+        (np.array([0.3]), np.array([1.0]), 2.0),
+    ]
+    for q, docs, omega in cases:
+        v = (1.0 - q) * docs
+        before = v.copy()
+        a, lam, active = _water_fill(v, omega)
+        assert np.array_equal(v, before)
+        sol = optimal_attack(q, docs, omega)
+        for expected in ((sol.a, sol.lam, sol.active), reference_water_fill(v, omega)):
+            assert np.array_equal(a, expected[0])
+            assert lam == expected[1]
+            assert np.array_equal(active, expected[2])
 
 
 # ---------------------------------------------------------------------------

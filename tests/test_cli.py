@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from netsec import cli, game
-from netsec.dissemination import complete_docs, disseminate
+from netsec.dissemination import Params, complete_docs, disseminate
 from netsec.game import NonConvergenceError
+from netsec.graph import ring_graph
 
 
 def run_cli(capsys, *argv):
@@ -267,6 +268,42 @@ def test_agent_count_out_of_range_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep-documents", "--n", "3", "--p-grid", f"0:1:{cli.MAX_GRID_STEPS + 1}"),
+    ("sweep-documents", "--n", "3", "--p-grid", f"0:1:{10**12}"),
+    ("sweep-investments", "--topology", "star", "--n", "4", "--p-grid", f"0:1:{10**12}"),
+    ("crossover", "--topology", "star", "--n", "4", "--p-grid", f"0:1:{10**12}"),
+])
+def test_grid_step_count_out_of_range_exits_2(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the step count must be checked before allocating the grid")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "p-grid" in err
+
+
+@pytest.mark.parametrize("regime, solver", [
+    ("nash-strategic", game.best_response_dynamics),
+    ("opt-strategic", game.social_optimum_numeric),
+])
+def test_strategic_equilibrium_on_monte_carlo_ring_uses_iterative_solver(capsys, regime, solver):
+    # Monte Carlo docs on a ring are not exactly equal, so the
+    # vertex-transitive closed forms do not apply.
+    code, out, err = run_cli(
+        capsys, "equilibrium", "--topology", "ring", "--n", "5", "--p", "0.5",
+        "--regime", regime, "--method", "mc", "--samples", "1000",
+    )
+    assert code == 0, err
+    g = ring_graph(5)
+    diss = disseminate(g, 0.5, "mc", samples=1000, seed=0)
+    expected = solver(g, diss, Params(0.5, 1.0, 1.0)).q
+    rows = [line.split(",") for line in parse_csv_block(out)[1:6]]
+    assert [row[1] for row in rows] == [cli._fmt(x) for x in expected]
 
 
 def test_star_sweep_builds_one_dissemination_per_point(capsys, monkeypatch):

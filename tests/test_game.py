@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from netsec import game
-from netsec.attack import breach_probabilities, optimal_attack
+from netsec.attack import _water_fill, breach_probabilities, optimal_attack
 from netsec.dissemination import (
     Params,
     complete_docs,
@@ -219,6 +219,18 @@ def test_brd_nonconvergence_error_payload():
     assert err.value.residual > 0
 
 
+@pytest.mark.parametrize("q0", [
+    [0.5, 0.5, np.nan, 0.5],
+    [0.5, 0.5, 1.5, 0.5],
+    [0.5, -0.1, 0.5, 0.5],
+    [0.5, 0.5, 0.5],
+])
+def test_brd_rejects_bad_start(q0):
+    g = ring_graph(4)
+    with pytest.raises(ValueError, match="investments"):
+        best_response_dynamics(g, _closed_diss(g, 0.5), Params(0.5, 1.0, 1.0), q0=q0)
+
+
 def test_brd_welfare_equals_reward_sum():
     g = ring_graph(5)
     out = best_response_dynamics(g, _closed_diss(g, 0.3), Params(0.3, 1.0, 1.0))
@@ -272,18 +284,113 @@ def test_social_optimum_numeric_regime_tag():
 def test_social_optimum_solves_each_point_once(monkeypatch, g, p, diss_of):
     # The line search's accepted trial carries its welfare, gradient and
     # attack into the next iteration, so no point is solved twice in a row.
+    solved = _record_fills(monkeypatch)
+    social_optimum_numeric(g, diss_of(g, p), Params(p, 1.0, 1.0))
+    repeats = sum(a == b for a, b in zip(solved, solved[1:]))
+    assert len(solved) > 8
+    assert repeats == 0
+
+
+def _record_fills(monkeypatch):
+    """Record the values v of every kernel call the game module makes."""
     solved = []
 
-    def recording_attack(q, docs, omega):
-        solved.append(np.asarray(q, dtype=float).tobytes())
-        return optimal_attack(q, docs, omega)
+    def recording_fill(v, omega):
+        solved.append(np.asarray(v, dtype=float).tobytes())
+        return _water_fill(v, omega)
 
-    monkeypatch.setattr(game, "optimal_attack", recording_attack)
-    social_optimum_numeric(g, diss_of(g, p), Params(p, 1.0, 1.0))
-    searched = solved[:-1]  # the last solve is evaluate_outcome's, at the winner
-    repeats = sum(a == b for a, b in zip(searched, searched[1:]))
-    assert len(searched) > 8
-    assert repeats == 0
+    monkeypatch.setattr(game, "_water_fill", recording_fill)
+    return solved
+
+
+def test_newton_direction_solves_the_region_hessian():
+    # Within an active-set region the welfare gradient is linear, so central
+    # differences of it give the region's Hessian up to rounding.
+    rng = np.random.default_rng(5)
+    partly_attacked = 0
+    for _ in range(40):
+        n = int(rng.integers(2, 8))
+        docs = 1.0 + rng.random(n) * (n - 1)
+        q = rng.random(n)
+        alpha, omega = 1.0 + rng.random(), 1.0 + 3.0 * rng.random()
+        free = rng.random(n) < 0.7
+        _, grad, active = game._welfare_and_gradient(q, docs, alpha, omega)
+        partly_attacked += active.size < n
+        h = 1e-6
+        hessian = np.column_stack([
+            (game._welfare_and_gradient(q + h * e, docs, alpha, omega)[1]
+             - game._welfare_and_gradient(q - h * e, docs, alpha, omega)[1]) / (2 * h)
+            for e in np.eye(n)
+        ])
+        expected = np.zeros(n)
+        expected[free] = np.linalg.solve(-hessian[np.ix_(free, free)], grad[free])
+        direction = game._newton_direction(grad, free, active, docs, alpha, omega)
+        np.testing.assert_allclose(direction, expected, rtol=1e-6, atol=1e-9)
+    assert partly_attacked >= 5
+
+
+def test_social_optimum_ring4_p_zero_no_cycling(monkeypatch):
+    # At p=0 on a 4-ring, q = [0, .5, .5, 0] sits on a region boundary with
+    # a mirror image of equal welfare; an ascent that accepts equal-welfare
+    # steps cycles between the two.  The optimum is uniform 1/(alpha n).
+    calls = _record_fills(monkeypatch)
+    g = ring_graph(4)
+    out = social_optimum_numeric(g, _closed_diss(g, 0.0), Params(0.0, 1.0, 1.0))
+    assert np.abs(out.q - 0.25).max() <= 1e-12
+    assert len(calls) <= 8 * 16
+
+
+def test_social_optimum_star5_sweep_kernel_budget(monkeypatch):
+    # Newton steps converge in a handful of iterations per start; projected
+    # gradient ascent needed about 19 400 kernel calls on this grid.
+    calls = _record_fills(monkeypatch)
+    g = star_graph(5)
+    for p in np.linspace(0.0, 1.0, 21):
+        social_optimum_numeric(g, _closed_diss(g, p), Params(p, 1.0, 1.0))
+    assert len(calls) < 2000
+
+
+def _grid_welfare(qs, docs, alpha, omega):
+    """Welfare at each row of qs, the attack by sort-based simplex projection."""
+    v = (1.0 - qs) * docs
+    ranked = -np.sort(-v, axis=1)
+    levels = (omega - np.cumsum(ranked, axis=1)) / np.arange(1, docs.size + 1)
+    k = (ranked + levels > 0.0).sum(axis=1)
+    lam = levels[np.arange(len(qs)), k - 1]
+    a = np.maximum(v + lam[:, None], 0.0) / omega
+    return docs.size - (a * v).sum(axis=1) - 0.5 * alpha * (qs**2).sum(axis=1)
+
+
+def _box_grid(axes):
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def social_optimum_grid_oracle(docs, alpha, omega):
+    """Oracle: best welfare on a 0.02 grid of [0, 1]^n, refined to 0.001
+    within a coarse step of the coarse winner."""
+    coarse = _box_grid([np.linspace(0.0, 1.0, 51)] * docs.size)
+    centre = coarse[np.argmax(_grid_welfare(coarse, docs, alpha, omega))]
+    offsets = np.arange(-20, 21) * 0.001
+    fine = _box_grid([np.unique(np.clip(c + offsets, 0.0, 1.0)) for c in centre])
+    welfare = _grid_welfare(fine, docs, alpha, omega)
+    best = int(np.argmax(welfare))
+    return fine[best], float(welfare[best])
+
+
+@pytest.mark.parametrize("g, diss_of", [
+    (star_graph(3), reach_closed_form),
+    (ring_graph(3), reach_closed_form),
+    (load_edge_list("0 1\n1 2\n"), reach_exact),
+])
+@pytest.mark.parametrize("alpha, omega", [(1.0, 1.0), (2.0, 1.0), (1.0, 3.0)])
+def test_social_optimum_matches_grid_oracle(g, diss_of, alpha, omega):
+    for p in (0.0, 0.2, 0.5, 0.8, 1.0):
+        diss = diss_of(g, p)
+        out = social_optimum_numeric(g, diss, Params(p, alpha, omega))
+        q_grid, w_grid = social_optimum_grid_oracle(diss.expected_docs, alpha, omega)
+        assert out.welfare >= w_grid - 1e-12
+        assert out.welfare <= w_grid + 1e-5
+        assert np.abs(out.q - q_grid).max() <= 2e-3
 
 
 # ---------------------------------------------------------------------------
