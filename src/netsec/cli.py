@@ -94,6 +94,18 @@ def _resolve_dissemination(g: Graph, p: float, args):
     )
 
 
+def _vt_closed_forms(g: Graph, args) -> bool:
+    """Whether closed forms serve (ring, complete); refuse, not ignore, another --method."""
+    if g.topology not in _VT_TOPOLOGIES:
+        return False
+    if args.method not in (None, METHOD_CLOSED):
+        raise ValueError(
+            f"--method {args.method} is not used on {g.topology} graphs, whose closed "
+            "forms are exact; give the graph with --edges to use it"
+        )
+    return True
+
+
 def _emit(args, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -192,8 +204,7 @@ def _cmd_sweep_investments(args) -> str:
     Params(0.0, args.alpha, args.omega)  # checks the costs before any grid point
     grid = _parse_grid(args.p_grid)
     n = g.n
-    vt_closed = g.topology in _VT_TOPOLOGIES
-    if vt_closed:
+    if _vt_closed_forms(g, args):
         header = ["p", "q_NR", "q_OR", "q_NS", "q_OS"]
 
         def row(p):
@@ -246,7 +257,7 @@ def _cmd_crossover(args) -> str:
     n = g.n
     lines = ["agent_class,p_star"]
     metrics = []
-    if g.topology in _VT_TOPOLOGIES:
+    if _vt_closed_forms(g, args):
         p_star, info = game.find_crossover_p(
             g.topology, n, args.alpha, args.omega, details=True
         )

@@ -82,11 +82,6 @@ class Dissemination:
         return self.reach.shape[0]
 
 
-def expected_documents(diss: Dissemination) -> np.ndarray:
-    """Per-agent expected document count: column sums of the reach matrix."""
-    return diss.reach.sum(axis=0)
-
-
 # ---------------------------------------------------------------------------
 # Component labelling, shared by exact enumeration and Monte Carlo
 # ---------------------------------------------------------------------------
@@ -352,36 +347,30 @@ def reach_closed_form(g: Graph, p: float) -> Dissemination:
 def reach_monte_carlo(
     g: Graph, p: float, samples: int, seed: int = 0
 ) -> Dissemination:
-    """Monte Carlo reach estimate from `samples` spreads per source agent.
+    """Monte Carlo reach estimate from 2 * `samples` shared spreads.
 
-    Every source uses its own RNG stream derived from (seed, source), so
-    estimates are reproducible and independent of any batching.  The
-    estimate is symmetrized by pair averaging (the true matrix is
-    symmetric, so this halves variance without bias) and std_err holds the
-    binomial standard error of each averaged entry.
+    Each spread draws every edge once and is labelled once; every source
+    reads its row from the same labels, so each entry averages 2 * `samples`
+    spreads.  Sharing the spreads across sources is sound because every
+    output is a pairwise marginal, the probability that i and j are joined;
+    it also makes the estimate exactly symmetric.  One RNG stream, read in
+    order, keeps estimates reproducible and independent of the chunk size.
+    std_err holds the binomial standard error of each entry.
     """
     _check_p(p)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     n, edges = g.n, g.edges
-    m = len(edges)
+    spreads = 2 * samples
+    rng = np.random.default_rng(seed & (2**64 - 1))
     counts = np.zeros((n, n))
-    for src in range(n):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(src,))
-        )
-        done = 0
-        while done < samples:
-            c = min(_MC_CHUNK, samples - done)
-            present = rng.random((c, m)) < p
-            labels = _component_labels(present, edges, n)
+    for start in range(0, spreads, _MC_CHUNK):
+        present = rng.random((min(_MC_CHUNK, spreads - start), len(edges))) < p
+        labels = _component_labels(present, edges, n)
+        for src in range(n):
             counts[src] += (labels == labels[:, src : src + 1]).sum(axis=0)
-            done += c
-    raw = counts / samples
-    reach = 0.5 * (raw + raw.T)
-    np.fill_diagonal(reach, 1.0)
-    std_err = np.sqrt(reach * (1.0 - reach) / (2.0 * samples))
-    np.fill_diagonal(std_err, 0.0)
+    reach = counts / spreads
+    std_err = np.sqrt(reach * (1.0 - reach) / spreads)
     return Dissemination(reach, reach.sum(axis=0), METHOD_MC, std_err=std_err)
 
 

@@ -306,6 +306,32 @@ def test_strategic_equilibrium_on_monte_carlo_ring_uses_iterative_solver(capsys,
     assert [row[1] for row in rows] == [cli._fmt(x) for x in expected]
 
 
+CLOSED_FORM_COMMANDS = [
+    ("sweep-investments", "--topology", "ring", "--n", "5", "--p-grid", "0:1:3"),
+    ("sweep-investments", "--topology", "complete", "--n", "4", "--p-grid", "0:1:3"),
+    ("crossover", "--topology", "ring", "--n", "5"),
+    ("crossover", "--topology", "complete", "--n", "4"),
+]
+
+
+@pytest.mark.parametrize("method", ["mc", "exact"])
+@pytest.mark.parametrize("argv", CLOSED_FORM_COMMANDS)
+def test_closed_form_commands_refuse_other_methods(capsys, argv, method):
+    # Ring and complete rows come from exact closed forms, so any other
+    # --method is an error.
+    code, out, err = run_cli(capsys, *argv, "--method", method, "--samples", "100")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and f"--method {method}" in err
+
+
+@pytest.mark.parametrize("argv", CLOSED_FORM_COMMANDS)
+def test_closed_form_commands_accept_method_closed(capsys, argv):
+    default = run_cli(capsys, *argv)
+    assert default[0] == 0
+    assert run_cli(capsys, *argv, "--method", "closed") == default
+
+
 def test_star_sweep_builds_one_dissemination_per_point(capsys, monkeypatch):
     calls = []
 

@@ -11,7 +11,6 @@ from netsec.dissemination import (
     complete_pair_reach,
     connected_probability_exact,
     disseminate,
-    expected_documents,
     p_for_half_coverage,
     reach_closed_form,
     reach_exact,
@@ -300,8 +299,8 @@ def test_monte_carlo_rejects_bad_samples():
 
 
 def test_monte_carlo_invariant_to_batch_size(monkeypatch):
-    # Per-source RNG streams make the estimate independent of how samples
-    # are batched internally.
+    # One stream read in order makes the estimate independent of how the
+    # spreads are batched internally.
     import netsec.dissemination as diss_mod
 
     g = ring_graph(5)
@@ -309,6 +308,23 @@ def test_monte_carlo_invariant_to_batch_size(monkeypatch):
     monkeypatch.setattr(diss_mod, "_MC_CHUNK", 64)
     chunked = reach_monte_carlo(g, 0.5, 1000, seed=5)
     assert np.array_equal(full.reach, chunked.reach)
+
+
+def test_monte_carlo_draws_each_spread_once(monkeypatch):
+    # Every source reads the same labels, so 2 * samples spreads are
+    # labelled in all.
+    import netsec.dissemination as diss_mod
+
+    labelled = []
+    label = diss_mod._component_labels
+
+    def counting(present, edges, n):
+        labelled.append(present.shape[0])
+        return label(present, edges, n)
+
+    monkeypatch.setattr(diss_mod, "_component_labels", counting)
+    reach_monte_carlo(ring_graph(5), 0.5, 1000, seed=5)
+    assert sum(labelled) == 2 * 1000
 
 
 def test_disseminate_dispatch():
@@ -326,23 +342,25 @@ def test_disseminate_dispatch():
 
 def test_expected_documents_p_zero_is_one():
     diss = reach_exact(ring_graph(5), 0.0)
-    assert np.array_equal(expected_documents(diss), np.ones(5))
+    assert np.array_equal(diss.expected_docs, np.ones(5))
 
 
 def test_expected_documents_complete_p_one_is_n():
     diss = reach_closed_form(complete_graph(7), 1.0)
-    assert np.array_equal(expected_documents(diss), np.full(7, 7.0))
+    assert np.array_equal(diss.expected_docs, np.full(7, 7.0))
 
 
 def test_expected_documents_equal_on_ring():
-    docs = expected_documents(reach_closed_form(ring_graph(10), 0.9))
+    docs = reach_closed_form(ring_graph(10), 0.9).expected_docs
     assert docs.max() - docs.min() < 1e-12
 
 
 def test_expected_documents_range():
     for g in (ring_graph(6), star_graph(6), complete_graph(5)):
         for p in (0.2, 0.8):
-            docs = expected_documents(reach_exact(g, p))
+            diss = reach_exact(g, p)
+            docs = diss.expected_docs
+            assert np.array_equal(docs, diss.reach.sum(axis=0))
             assert (docs >= 1.0).all()
             assert (docs <= g.n + 1e-12).all()
 
@@ -352,7 +370,7 @@ def test_topology_docs_matches_matrix_route():
                         ("complete", complete_graph(6))):
         for p in (0.3, 0.8):
             direct = topology_docs(topology, 6, p)
-            via_matrix = expected_documents(reach_closed_form(g, p))
+            via_matrix = reach_closed_form(g, p).expected_docs
             assert np.abs(direct - via_matrix).max() < 1e-10
 
 
