@@ -135,16 +135,11 @@ def attack_sensitivity(sol: AttackSolution, docs, omega: float) -> np.ndarray:
 
 
 def breach_probabilities(a, q, reach) -> np.ndarray:
-    """Probability each agent's document is stolen, for all agents at once."""
+    """Probability each agent i's document is stolen: sum_j reach[i, j] a_j (1 - q_j)."""
     a = np.asarray(a, dtype=float)
     q = _as_security(q)
     reach = np.asarray(reach, dtype=float)
     return reach @ (a * (1.0 - q))
-
-
-def breach_probability(i: int, a, q, reach) -> float:
-    """Probability agent i's document is stolen: sum_j a_j (1-q_j) reach[i, j]."""
-    return float(breach_probabilities(a, q, reach)[i])
 
 
 def expected_stolen(a, q, docs) -> float:

@@ -56,14 +56,25 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def _agent_count(text: str) -> int:
+def _int_value(text: str) -> int:
     try:
-        n = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _agent_count(text: str) -> int:
+    n = _int_value(text)
     if n > MAX_AGENTS:
         raise argparse.ArgumentTypeError(f"at most {MAX_AGENTS} agents, got {n}")
     return n
+
+
+def _sample_count(text: str) -> int:
+    samples = _int_value(text)
+    if samples < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1 sample, got {samples}")
+    return samples
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -305,7 +316,7 @@ def _add_method_options(sub):
         "--method", choices=["exact", "closed", "mc"], default=None,
         help="dissemination route (default: closed for named topologies, exact otherwise)",
     )
-    sub.add_argument("--samples", type=int, default=100_000, help="Monte Carlo samples")
+    sub.add_argument("--samples", type=_sample_count, default=100_000, help="Monte Carlo samples")
     sub.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
 
 

@@ -5,8 +5,12 @@ random (uniform) attack both the Nash equilibrium and the social optimum
 have closed forms on any graph.  Against a strategic attack, closed forms
 exist when every agent expects the same document count (vertex-transitive
 networks); general graphs are handled by best-response dynamics and
-projected Newton ascent on welfare.  Both iterate on the unchecked
-water-fill kernel `_water_fill`, checking their inputs once on entry.
+projected Newton ascent on welfare.  An agent's reward is piecewise
+quadratic in its own investment, one piece per attacker active set, with
+upward kinks between pieces: best responses walk those pieces exactly,
+and a pure strategic equilibrium need not exist.  Both solvers check their
+inputs once on entry; welfare and rewards come from the unchecked
+water-fill kernel `_water_fill`.
 """
 
 from __future__ import annotations
@@ -180,61 +184,74 @@ def nash_strategic_vt(
 # Iterative solvers
 # ---------------------------------------------------------------------------
 
-def _reward_derivatives(i, q, docs, reach, alpha, omega):
-    """First and second derivatives of reward_i in q_i, attacker re-solved at q.
+def _best_response(i, q, docs, reach, alpha, omega):
+    """Agent i's exact global best response q_i in [0, 1] to the others' q.
 
-    The first equals a_i - sum_j (d a_j / d q_i)(1 - q_j) reach[i, j] -
-    alpha q_i; the middle term vanishes when agent i is not attacked.  The
-    second is the curvature of the current active-set region,
-    -2 docs_i (k - 1) / (omega k) - alpha with k active agents, or -alpha
-    when agent i is not attacked.
+    The reward is continuous and piecewise quadratic in q_i, one piece per
+    attacker active set, with upward kinks where the set changes.  Write
+    y = 1 - q_i.  While agent i is attacked, the water level is
+    lam = lam0 - y docs_i / k with k attacked agents, so as q_i rises the
+    others join the active set as a growing prefix of their values
+    v_j = (1 - q_j) docs_j sorted descending, and agent i's own level
+    lam0 + y docs_i (k - 1) / k falls until i leaves, at most once.  The
+    walk visits these at most n regions, takes each region's stationary
+    point in closed form from prefix sums, clipped to the region, and
+    keeps the best (ties to the smallest q_i).  Once agent i is not
+    attacked only its own cost moves, so an agent not attacked at q_i = 0
+    best-responds with 0.  No water-fill is called.
     """
-    a, _, active = _water_fill((1.0 - q) * docs, omega)
-    if a[i] <= 0.0:
-        return -alpha * q[i], -alpha
-    k = active.size
-    others = active[active != i]
-    coupling = (
-        docs[i]
-        / (omega * k)
-        * (((1.0 - q[others]) * reach[i, others]).sum() - (k - 1) * (1.0 - q[i]))
-    )
-    curvature = -2.0 * docs[i] * (k - 1) / (omega * k) - alpha
-    return a[i] - coupling - alpha * q[i], curvature
-
-
-def _best_response(i, q, docs, reach, alpha, omega, gtol=1e-10):
-    """Maximize agent i's concave reward over q_i in [0, 1].
-
-    Bisection on the reward gradient (which starts positive at 0), with
-    Newton steps from the known curvature whenever they stay inside the
-    bracket.
-    """
-    work = q.copy()
-
-    def derivatives(x):
-        work[i] = x
-        return _reward_derivatives(i, work, docs, reach, alpha, omega)
-
-    if derivatives(0.0)[0] <= 0.0:
+    n = q.size
+    others = np.arange(n) != i
+    v = ((1.0 - q) * docs)[others]
+    order = (-v).argsort(kind="stable")
+    s = v[order]
+    w = ((1.0 - q) * reach[i])[others][order]
+    d, r = docs[i], reach[i, i]
+    m = np.arange(n)  # attacked others in region m
+    k = m + 1.0
+    lam0 = (omega - np.concatenate(([0.0], s.cumsum()))) / k
+    weight = np.concatenate(([0.0], w.cumsum()))
+    held = np.concatenate(([0.0], (s * w).cumsum()))
+    # Region m spans y in [y_lo, y_hi]: the next other enters at the
+    # bottom unless agent i leaves first (never when alone, m = 0, where
+    # the bound comes out negative).
+    enter = np.append(k[:-1] * (s + lam0[:-1]) / d, -np.inf)
+    leave = -k * lam0 / (d * np.maximum(m, 1))
+    y_hi = np.minimum(np.concatenate(([np.inf], enter[:-1])), 1.0)
+    y_lo = np.maximum(np.maximum(enter, leave), 0.0)
+    valid = np.flatnonzero(y_lo <= y_hi)
+    if valid.size == 0:
         return 0.0
-    if derivatives(1.0)[0] >= 0.0:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    x = 0.5
-    for _ in range(200):
-        g, curvature = derivatives(x)
-        if abs(g) <= gtol:
-            return x
-        if g > 0.0:
-            lo = x
-        else:
-            hi = x
-        newton = x - g / curvature
-        x = newton if lo < newton < hi else 0.5 * (lo + hi)
-        if hi - lo < 1e-15:
-            break
-    return 0.5 * (lo + hi)
+    # reward - 1 = -(held + weight lam0) / omega - lin y - quad y^2
+    #              - alpha (1 - y)^2 / 2 within region m.
+    lin = (r * lam0 - weight * d / k) / omega
+    quad = r * d * m / (k * omega)
+    y = np.clip((alpha - lin) / (alpha + 2.0 * quad), y_lo, y_hi)[valid]
+    reward = (
+        -(held + weight * lam0)[valid] / omega
+        - (lin[valid] + quad[valid] * y) * y
+        - 0.5 * alpha * (1.0 - y) ** 2
+    )
+    return 1.0 - float(y[reward.argmax()])
+
+
+def _rewards(q, docs, reach, alpha, omega):
+    """Every agent's reward at q against the attacker's best response."""
+    a = _water_fill((1.0 - q) * docs, omega)[0]
+    return 1.0 - breach_probabilities(a, q, reach) - 0.5 * alpha * q**2
+
+
+def _nash_gap(q, docs, reach, alpha, omega):
+    """Largest reward an agent gains by deviating alone to its exact best
+    response, and that agent; zero, up to rounding, at a Nash equilibrium."""
+    base = _rewards(q, docs, reach, alpha, omega)
+    gains = np.empty(q.size)
+    for i in range(q.size):
+        deviation = q.copy()
+        deviation[i] = _best_response(i, q, docs, reach, alpha, omega)
+        gains[i] = _rewards(deviation, docs, reach, alpha, omega)[i] - base[i]
+    agent = int(gains.argmax())
+    return float(gains[agent]), agent
 
 
 def best_response_dynamics(
@@ -245,35 +262,54 @@ def best_response_dynamics(
     tol: float = 1e-8,
     max_iter: int = 500,
 ) -> GameOutcome:
-    """Cyclic best-response iteration for the strategic investment game.
+    """Cyclic exact best-response iteration for the strategic investment game.
 
-    Agents update in fixed ascending order; convergence is measured as the
-    largest investment change over a full sweep.  Raises
-    NonConvergenceError (carrying the last iterate) past max_iter sweeps.
+    Agents update in fixed ascending order.  Once a sweep moves no
+    investment by more than tol, the profile is certified by its Nash gap:
+    it is returned only if no agent gains more than tol by deviating
+    alone.  A pure strategic equilibrium need not exist on a general graph,
+    because rewards kink upward in q_i, so NonConvergenceError (carrying
+    the last iterate and its Nash gap) is raised when the gap fails, when
+    a sweep ends on exactly the profile of an earlier sweep (a cycle), or
+    past max_iter sweeps.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     if g.n != diss.n:
         raise ValueError("graph and dissemination disagree on the number of agents")
     docs = np.asarray(diss.expected_docs, dtype=float)
     reach = diss.reach
+    alpha, omega = params.alpha, params.omega
     n = g.n
     q = np.full(n, 0.5) if q0 is None else _as_security(q0, n)
-    delta = np.inf
-    for _ in range(max_iter):
+    seen = {}
+    for sweep in range(1, max_iter + 1):
         delta = 0.0
         for i in range(n):
-            updated = _best_response(i, q, docs, reach, params.alpha, params.omega)
+            updated = _best_response(i, q, docs, reach, alpha, omega)
             delta = max(delta, abs(updated - q[i]))
             q[i] = updated
-        if delta <= tol:
-            return evaluate_outcome(diss, params, q, NASH_STRATEGIC)
+        key = q.tobytes()
+        if delta <= tol or key in seen:
+            break
+        seen[key] = sweep
+    gain, agent = _nash_gap(q, docs, reach, alpha, omega)
+    if delta <= tol and gain <= tol:
+        return evaluate_outcome(diss, params, q, NASH_STRATEGIC)
+    if delta <= tol:
+        reason = f"sweep {sweep} settled on a profile that is no equilibrium"
+    elif key in seen:
+        reason = f"sweep {sweep} repeats the profile of sweep {seen[key]}"
+    else:
+        reason = f"no convergence in {max_iter} sweeps (last sweep moved {delta:.3e})"
     raise NonConvergenceError(
-        f"best-response dynamics did not converge in {max_iter} sweeps "
-        f"(last sweep moved {delta:.3e})",
+        f"best-response dynamics stopped: {reason}; "
+        f"agent {agent} gains {gain:.3e} by deviating alone",
         last_q=q,
-        residual=delta,
-        iterations=max_iter,
+        residual=gain,
+        iterations=sweep,
     )
 
 

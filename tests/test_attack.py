@@ -6,7 +6,6 @@ from netsec.attack import (
     attack_sensitivity,
     attacker_payoff,
     breach_probabilities,
-    breach_probability,
     expected_stolen,
     kkt_residual,
     optimal_attack,
@@ -293,7 +292,7 @@ def test_breach_self_attack_unprotected():
     g = ring_graph(4)
     reach = reach_closed_form(g, 0.5).reach
     a = np.array([0.0, 1.0, 0.0, 0.0])
-    assert breach_probability(1, a, np.zeros(4), reach) == 1.0
+    assert breach_probabilities(a, np.zeros(4), reach)[1] == 1.0
 
 
 def test_breach_star_center_hand_value():
@@ -301,7 +300,7 @@ def test_breach_star_center_hand_value():
     g = star_graph(3)
     reach = reach_closed_form(g, 0.5).reach
     a = np.full(3, 1 / 3)
-    assert breach_probability(0, a, np.zeros(3), reach) == pytest.approx(2 / 3, abs=1e-12)
+    assert breach_probabilities(a, np.zeros(3), reach)[0] == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_expected_stolen_trivial_cases():

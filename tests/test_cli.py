@@ -270,6 +270,37 @@ def test_agent_count_out_of_range_exits_2(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("method", ["exact", "closed", "mc"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_samples_below_one_exits_2_for_every_method(capsys, method, samples):
+    code, out, err = run_cli(
+        capsys, "disseminate", "--topology", "ring", "--n", "5", "--p", "0.5",
+        "--method", method, "--samples", samples,
+    )
+    assert code == 2
+    assert out == ""
+    assert "at least 1 sample" in err and "Traceback" not in err
+
+
+# The fourth known case, the 5-node graph at p = 0.6413, is in
+# test_game.py::test_brd_refuses_non_equilibrium.
+@pytest.mark.parametrize("edges, p", [
+    ("0 1\n1 2\n2 3\n3 4\n1 4\n0 5\n", 0.825),
+    ("0 1\n1 2\n2 3\n3 4\n1 4\n0 5\n", 0.85),
+    ("0 1\n1 2\n1 4\n1 5\n2 3\n2 5\n3 4\n", 0.8356),
+])
+def test_strategic_non_equilibria_exit_3(capsys, tmp_path, edges, p):
+    path = tmp_path / "graph.txt"
+    path.write_text(edges, encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "equilibrium", "--edges", str(path), "--p", str(p),
+        "--regime", "nash-strategic",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "gains" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("sweep-documents", "--n", "3", "--p-grid", f"0:1:{cli.MAX_GRID_STEPS + 1}"),
     ("sweep-documents", "--n", "3", "--p-grid", f"0:1:{10**12}"),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from netsec import game
+from netsec import cli, game
 from netsec.attack import _water_fill, breach_probabilities, optimal_attack
 from netsec.dissemination import (
     Params,
@@ -192,6 +192,90 @@ def test_brd_no_profitable_unilateral_deviation():
             q = out.q.copy()
             q[i] = trial
             assert reward(i, q) <= base + 1e-7
+    gap, _ = game._nash_gap(out.q, docs, reach, params.alpha, params.omega)
+    assert -1e-12 <= gap <= 1e-10
+
+
+# Exact best-response dynamics cycles on both (periods of 12 and 8 sweeps).
+SIX_NODE = "0 1\n1 2\n2 3\n3 4\n1 4\n0 5\n"
+FIVE_NODE = "0 1\n1 2\n1 3\n1 4\n2 3\n2 4\n"
+
+
+def _grid_rewards(i, q, docs, reach, alpha, omega, grid):
+    """Oracle: agent i's reward at each q_i in grid, the attack from a
+    row-wise water-filling scan independent of the solver's kernel."""
+    qs = np.tile(q, (grid.size, 1))
+    qs[:, i] = grid
+    v = (1.0 - qs) * docs
+    vs = -np.sort(-v, axis=1)
+    lams = (omega - vs.cumsum(axis=1)) / np.arange(1, q.size + 1)
+    k = (vs + lams > 0.0).sum(axis=1)
+    lam = lams[np.arange(grid.size), k - 1]
+    a = np.maximum(v + lam[:, None], 0.0) / omega
+    return 1.0 - (a * (1.0 - qs)) @ reach[i] - 0.5 * alpha * grid**2
+
+
+def test_best_response_matches_grid_oracle():
+    # The reward is not concave in q_i: at an upward kink a local method
+    # can stop short of the global best response.
+    g = load_edge_list(SIX_NODE)
+    rng = np.random.default_rng(11)
+    grid = np.linspace(0.0, 1.0, 1001)
+    for p in (0.3, 0.6, 0.825, 0.9):
+        diss = reach_exact(g, p)
+        docs, reach = diss.expected_docs, diss.reach
+        for alpha, omega in ((1.0, 1.0), (1.5, 2.0)):
+            for _ in range(40):
+                q = rng.random(6)
+                i = int(rng.integers(6))
+                x = game._best_response(i, q, docs, reach, alpha, omega)
+                assert 0.0 <= x <= 1.0
+                best = _grid_rewards(i, q, docs, reach, alpha, omega, grid).max()
+                at_x = _grid_rewards(i, q, docs, reach, alpha, omega, np.array([x]))[0]
+                assert at_x >= best - 1e-12, (p, alpha, omega, i, q)
+
+
+def test_brd_refuses_non_equilibrium(capsys, tmp_path):
+    # Rewards are not concave in q_i, so BRD can settle or cycle where some
+    # agent still gains by deviating alone; that is exit 3, not an answer.
+    g = load_edge_list(FIVE_NODE)
+    p = 0.6413
+    with pytest.raises(NonConvergenceError, match="gains"):
+        best_response_dynamics(g, reach_exact(g, p), Params(p, 1.0, 1.0))
+    edges = tmp_path / "graph.txt"
+    edges.write_text(FIVE_NODE, encoding="utf-8")
+    code = cli.main([
+        "equilibrium", "--edges", str(edges), "--p", str(p), "--regime", "nash-strategic",
+    ])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "gains" in captured.err
+
+
+@pytest.mark.parametrize("p", [0.825, 0.85])
+def test_brd_stops_on_repeated_profile(p):
+    g = load_edge_list(SIX_NODE)
+    with pytest.raises(NonConvergenceError, match="repeats the profile") as err:
+        best_response_dynamics(g, reach_exact(g, p), Params(p, 1.0, 1.0))
+    assert err.value.iterations < 500
+    assert err.value.residual > 1e-8  # the Nash gap at the last profile
+    assert err.value.last_q.shape == (6,)
+
+
+def test_brd_kernel_budget(monkeypatch):
+    # Best responses are closed-form region walks; only the Nash-gap
+    # certificate evaluates rewards through the water-fill kernel.
+    calls = []
+
+    def counting_fill(v, omega):
+        calls.append(1)
+        return _water_fill(v, omega)
+
+    monkeypatch.setattr(game, "_water_fill", counting_fill)
+    g = star_graph(20)
+    best_response_dynamics(g, _closed_diss(g, 0.9), Params(0.9, 1.0, 1.0))
+    assert len(calls) <= 2 * g.n
 
 
 def test_brd_star_curve_shape():
