@@ -112,28 +112,6 @@ def kkt_residual(sol: AttackSolution, q, docs, omega: float) -> float:
     return res
 
 
-def attack_sensitivity(sol: AttackSolution, docs, omega: float) -> np.ndarray:
-    """Jacobian of the optimal attack: entry (i, j) is d a_i / d q_j.
-
-    For active agents, d a_i / d q_i = -((k - 1) / (omega k)) * docs_i and
-    d a_i / d q_j = docs_j / (omega k) with k the active-set size; rows and
-    columns of inactive agents are zero.  The formula is valid in the
-    interior of the current active-set region; at a region boundary only
-    one-sided derivatives exist and they are not represented here.
-    """
-    docs = np.asarray(docs, dtype=float)
-    n = sol.a.size
-    jac = np.zeros((n, n))
-    act = sol.active
-    k = sol.n_star
-    if k <= 1:
-        return jac
-    block = np.tile(docs[act] / (omega * k), (k, 1))
-    np.fill_diagonal(block, -(k - 1) * docs[act] / (omega * k))
-    jac[np.ix_(act, act)] = block
-    return jac
-
-
 def breach_probabilities(a, q, reach) -> np.ndarray:
     """Probability each agent i's document is stolen: sum_j reach[i, j] a_j (1 - q_j)."""
     a = np.asarray(a, dtype=float)

@@ -119,16 +119,14 @@ def _component_labels(present: np.ndarray, edges, n: int) -> np.ndarray:
 def _subset_counts(edges: tuple[tuple[int, int], ...], n: int):
     """Connectivity counts over all 2**m edge subsets, binned by subset size.
 
-    Returns (pair_counts, all_counts) where pair_counts[i, j, k] is the
-    number of k-edge subsets in which i and j are connected and
-    all_counts[k] the number in which the whole vertex set is.  These
-    counts are independent of p, so one walk serves every p value.
+    Returns pair_counts, where pair_counts[i, j, k] is the number of k-edge
+    subsets in which i and j are connected.  The counts are independent of
+    p, so one walk serves every p value.
     """
     m = len(edges)
     iu, ju = np.triu_indices(n, 1)
     npairs = iu.size
     pair_bins = np.zeros((m + 1) * npairs)
-    all_counts = np.zeros(m + 1)
     bits = np.arange(m)
     for start in range(0, 1 << m, _ENUM_CHUNK):
         masks = np.arange(start, min(start + _ENUM_CHUNK, 1 << m))
@@ -138,14 +136,11 @@ def _subset_counts(edges: tuple[tuple[int, int], ...], n: int):
         joined = labels[:, iu] == labels[:, ju]
         slot = k[:, None] * npairs + np.arange(npairs)
         pair_bins += np.bincount(slot[joined], minlength=pair_bins.size)
-        # Every agent is labelled 0 exactly when all are joined.
-        all_counts += np.bincount(k[(labels == 0).all(axis=1)], minlength=m + 1)
     pair_counts = np.zeros((n, n, m + 1))
     pair_counts[iu, ju] = pair_bins.reshape(m + 1, npairs).T
     pair_counts += np.transpose(pair_counts, (1, 0, 2))
     pair_counts.flags.writeable = False
-    all_counts.flags.writeable = False
-    return pair_counts, all_counts
+    return pair_counts
 
 
 def _subset_weights(m: int, p: float) -> np.ndarray:
@@ -167,20 +162,10 @@ def reach_exact(g: Graph, p: float) -> Dissemination:
             f"exact enumeration supports at most {MAX_EXACT_EDGES} edges, "
             f"got {m}; use the closed form or Monte Carlo"
         )
-    pair_counts, _ = _subset_counts(g.edges, g.n)
+    pair_counts = _subset_counts(g.edges, g.n)
     reach = pair_counts @ _subset_weights(m, p)
     np.fill_diagonal(reach, 1.0)
     return Dissemination(reach, reach.sum(axis=0), METHOD_EXACT)
-
-
-def connected_probability_exact(g: Graph, p: float) -> float:
-    """Probability the whole Bernoulli-thinned graph stays connected (exact)."""
-    _check_p(p)
-    m = g.edge_count
-    if m > MAX_EXACT_EDGES:
-        raise ValueError(f"exact enumeration supports at most {MAX_EXACT_EDGES} edges")
-    _, all_counts = _subset_counts(g.edges, g.n)
-    return float(all_counts @ _subset_weights(m, p))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +257,7 @@ def complete_pair_bounds(n: int, p: float) -> tuple[float, float]:
 
 
 def ring_pair_reach(n: int, p: float, dist: int) -> float:
-    """Reach probability on a ring between agents at the given distance."""
+    """Reach probability on a ring between agents `dist` edges apart."""
     if dist == 0:
         return 1.0
     return p**dist + p ** (n - dist) - p**n

@@ -85,12 +85,12 @@ def evaluate_outcome(
     """Assemble a GameOutcome for given investments under a regime.
 
     Strategic regimes face the attacker's best response; random regimes
-    face the uniform attack.
+    face the uniform attack.  Every regime requires n investments in [0, 1].
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
-    q = np.asarray(q, dtype=float)
     n = diss.n
+    q = _as_security(q, n)
     docs = diss.expected_docs
     sol = None
     if regime in (NASH_STRATEGIC, OPT_STRATEGIC):

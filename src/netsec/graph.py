@@ -1,4 +1,4 @@
-"""Undirected connected networks: construction, loading, and symmetry tests.
+"""Undirected connected networks: construction and loading.
 
 Agents are indexed 0..n-1.  For star graphs the hub is always index 0.
 Every constructor rejects disconnected input, so downstream code may rely
@@ -17,10 +17,6 @@ COMPLETE = "complete"
 CUSTOM = "custom"
 
 TOPOLOGIES = (RING, STAR, COMPLETE)
-
-# Exact automorphism search is exponential; above this size callers should
-# rely on the declared topology tag instead.
-MAX_TRANSITIVITY_N = 10
 
 
 @dataclass(frozen=True)
@@ -54,10 +50,15 @@ class Graph:
             (int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(adj)))
         )
         object.__setattr__(self, "_edges", edges)
-        components = self.components()
-        if len(components) > 1:
-            report = "; ".join(str(sorted(c)) for c in components)
-            raise ValueError(f"graph is disconnected: components {report}")
+        reached = np.zeros(self.n, dtype=bool)
+        frontier = reached.copy()
+        reached[0] = frontier[0] = True
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~reached
+            reached |= frontier
+        if not reached.all():
+            cut_off = np.flatnonzero(~reached).tolist()
+            raise ValueError(f"graph is disconnected: agents {cut_off} cannot reach agent 0")
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -70,49 +71,6 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1)
-
-    def neighbors(self, i: int) -> np.ndarray:
-        return np.nonzero(self.adjacency[i])[0]
-
-    def components(self) -> list[set[int]]:
-        """Connected components via union-find."""
-        parent = list(range(self.n))
-
-        def find(x):
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        for i, j in self._edges:
-            parent[find(i)] = find(j)
-        groups: dict[int, set[int]] = {}
-        for v in range(self.n):
-            groups.setdefault(find(v), set()).add(v)
-        return list(groups.values())
-
-    def distance(self, i: int, j: int) -> int:
-        """Shortest-path edge count between agents i and j (BFS)."""
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise ValueError(f"agent index out of range for n={self.n}")
-        if i == j:
-            return 0
-        dist = np.full(self.n, -1, dtype=int)
-        dist[i] = 0
-        frontier = [i]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in self.neighbors(u):
-                    if dist[v] < 0:
-                        dist[v] = dist[u] + 1
-                        if v == j:
-                            return int(dist[v])
-                        nxt.append(int(v))
-            frontier = nxt
-        raise AssertionError("unreachable: graph is connected by construction")
 
 
 def ring_graph(n: int) -> Graph:
@@ -193,48 +151,3 @@ def load_edge_list(text: str) -> Graph:
     for u, v in edges:
         adj[u, v] = adj[v, u] = True
     return Graph(n, adj, topology=CUSTOM)
-
-
-def is_vertex_transitive(g: Graph) -> bool:
-    """Exact vertex-transitivity test by automorphism search (n <= 10).
-
-    True iff for every target vertex j there is an adjacency-preserving
-    permutation mapping vertex 0 to j.  Candidates are pruned by degree
-    and by the multiset of neighbor degrees.
-    """
-    if g.n > MAX_TRANSITIVITY_N:
-        raise ValueError(
-            f"exact transitivity test supports n <= {MAX_TRANSITIVITY_N} "
-            f"(got n={g.n}); rely on the topology tag for larger graphs"
-        )
-    deg = g.degrees()
-    if deg.min() != deg.max():
-        return False
-    signature = [tuple(sorted(deg[v] for v in g.neighbors(u))) for u in range(g.n)]
-    if len(set(signature)) > 1:
-        return False
-    adj = g.adjacency
-    n = g.n
-
-    def extend(mapping: list[int], used: list[bool]) -> bool:
-        v = len(mapping)
-        if v == n:
-            return True
-        for cand in range(n):
-            if used[cand] or signature[cand] != signature[v]:
-                continue
-            if all(adj[v, u] == adj[cand, mapping[u]] for u in range(v)):
-                mapping.append(cand)
-                used[cand] = True
-                if extend(mapping, used):
-                    return True
-                mapping.pop()
-                used[cand] = False
-        return False
-
-    for j in range(1, n):
-        if signature[j] != signature[0]:
-            return False
-        if not extend([j], [v == j for v in range(n)]):
-            return False
-    return True

@@ -7,13 +7,13 @@ search, finite differences) rather than against itself.
 """
 
 import functools
+import itertools
 import time
 
 import numpy as np
 
 from netsec import cli
 from netsec.attack import (
-    attack_sensitivity,
     attacker_payoff,
     kkt_residual,
     optimal_attack,
@@ -24,7 +24,6 @@ from netsec.dissemination import (
     complete_docs,
     complete_pair_bounds,
     complete_pair_reach,
-    connected_probability_exact,
     p_for_half_coverage,
     reach_closed_form,
     reach_exact,
@@ -33,6 +32,7 @@ from netsec.dissemination import (
     topology_docs,
 )
 from netsec.game import (
+    _welfare_and_gradient,
     best_response_dynamics,
     find_crossover_p,
     nash_random,
@@ -43,7 +43,7 @@ from netsec.game import (
     star_sacrificial_lamb,
     star_uniform_attack_strategy,
 )
-from netsec.graph import build_topology, complete_graph, ring_graph
+from netsec.graph import build_topology, ring_graph
 
 P_GRID = [round(0.1 * k, 1) for k in range(1, 10)]
 
@@ -84,14 +84,37 @@ def test_criterion_1_dissemination_oracle_equivalence():
     assert time.perf_counter() - start < 10.0
 
 
+def connected_subset_counts(n, edges):
+    """Oracle: entry k counts the k-edge subsets of `edges` that connect all n agents.
+
+    Brute force over every subset, growing the set reached from agent 0
+    until no kept edge leaves it.
+    """
+    counts = np.zeros(len(edges) + 1)
+    for k in range(n - 1, len(edges) + 1):  # fewer edges cannot connect n agents
+        for kept in itertools.combinations(edges, k):
+            reached = {0}
+            grew = True
+            while grew:
+                grew = False
+                for u, v in kept:
+                    if (u in reached) != (v in reached):
+                        reached.update((u, v))
+                        grew = True
+            counts[k] += len(reached) == n
+    return counts
+
+
 @criterion(2, "all-reach recursion matches enumeration (1e-10); pair reach inside bounds to n=30")
 def test_criterion_2_all_reach_recursion():
     start = time.perf_counter()
     for k in range(1, 7):
-        g = complete_graph(k) if k >= 2 else None
+        counts = connected_subset_counts(k, list(itertools.combinations(range(k), 2)))
+        m = counts.size - 1
+        sizes = np.arange(m + 1)
         for p in P_GRID:
             value = complete_connected_probability(k, p)
-            oracle = 1.0 if k == 1 else connected_probability_exact(g, p)
+            oracle = float(counts @ (p**sizes * (1.0 - p) ** (m - sizes)))
             assert abs(value - oracle) <= 1e-10
     for n in range(2, 31):
         for p in P_GRID:
@@ -157,7 +180,7 @@ def test_criterion_4_attack_solver():
     assert time.perf_counter() - start < 20.0
 
 
-@criterion(5, "attack sensitivities match central finite differences (1e-6) on 100 interior instances")
+@criterion(5, "welfare gradients through the attack match central finite differences (1e-6) on 100 interior instances")
 def test_criterion_5_sensitivity():
     rng = np.random.default_rng(99)
     step = 1e-5
@@ -167,20 +190,22 @@ def test_criterion_5_sensitivity():
         docs = 1.0 + 0.5 * rng.random(n)
         q = 0.2 + 0.2 * rng.random(n)
         omega = 1.0 + rng.random()
+        alpha = 1.0 + rng.random()
         sol = optimal_attack(q, docs, omega)
         if sol.n_star < n or sol.a.min() < 1e-3:
             continue
         count += 1
-        jac = attack_sensitivity(sol, docs, omega)
-        fd = np.zeros((n, n))
+        _, grad, _ = _welfare_and_gradient(q, docs, alpha, omega)
+        fd = np.zeros(n)
         for j in range(n):
             up, down = q.copy(), q.copy()
             up[j] += step
             down[j] -= step
-            fd[:, j] = (
-                optimal_attack(up, docs, omega).a - optimal_attack(down, docs, omega).a
+            fd[j] = (
+                _welfare_and_gradient(up, docs, alpha, omega)[0]
+                - _welfare_and_gradient(down, docs, alpha, omega)[0]
             ) / (2 * step)
-        assert np.abs(jac - fd).max() <= 1e-6
+        assert np.abs(grad - fd).max() <= 1e-6
 
 
 @criterion(6, "closed-form equilibria reproduce their formulas; p=1 endpoints exact")

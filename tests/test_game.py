@@ -623,6 +623,18 @@ def test_evaluate_outcome_random_regime_uniform_attack():
     assert out.attack is None
 
 
+@pytest.mark.parametrize("regime", game.REGIMES)
+@pytest.mark.parametrize(
+    "q",
+    [[0.5], np.full(6, 0.5), [0.5, 0.5, 1.5, 0.5, 0.5], [0.1, -0.2, 0, 0, 0]],
+    ids=["one-entry", "six-entries", "above-one", "negative"],
+)
+def test_evaluate_outcome_rejects_bad_investments(regime, q):
+    diss = _closed_diss(ring_graph(5), 0.5)
+    with pytest.raises(ValueError, match="investments"):
+        evaluate_outcome(diss, Params(0.5, 1.0, 1.0), q, regime)
+
+
 def test_negated_jacobian_diagonal_dominance():
     # Off-diagonal mass D(n-1)/(omega n) + D(D-1)/(omega n) never exceeds
     # the diagonal 2D(n-1)/(omega n) + alpha at the symmetric equilibrium.

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,6 @@ from netsec.graph import (
     Graph,
     build_topology,
     complete_graph,
-    is_vertex_transitive,
     load_edge_list,
     ring_graph,
     star_graph,
@@ -95,68 +92,60 @@ def test_adjacency_is_immutable():
         g.adjacency[0, 2] = True
 
 
-def test_distance_ring_antipodal():
-    assert ring_graph(6).distance(0, 3) == 3
+def union_find_components(n, edges):
+    """Oracle: connected components by union-find with path compression."""
+    parent = list(range(n))
 
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
 
-def test_distance_star_leaf_to_leaf():
-    assert star_graph(5).distance(1, 2) == 2
-
-
-def test_distance_identity():
-    for g in (ring_graph(5), star_graph(4), complete_graph(3)):
-        for i in range(g.n):
-            assert g.distance(i, i) == 0
-
-
-def test_distance_symmetry_and_triangle_inequality():
-    rng = np.random.default_rng(11)
-    g = load_edge_list("0 1\n1 2\n2 3\n3 4\n4 0\n1 4\n2 5")
-    for _ in range(50):
-        i, j, k = rng.integers(0, g.n, size=3)
-        assert g.distance(i, j) == g.distance(j, i)
-        assert g.distance(i, k) <= g.distance(i, j) + g.distance(j, k)
-
-
-def test_ring_distance_formula():
-    n = 7
-    g = ring_graph(n)
-    for i, j in itertools.combinations(range(n), 2):
-        assert g.distance(i, j) == min(abs(i - j), n - abs(i - j))
-
-
-def test_complete_4_is_vertex_transitive():
-    assert is_vertex_transitive(complete_graph(4))
-
-
-def test_star_is_not_vertex_transitive():
-    assert not is_vertex_transitive(star_graph(4))
-
-
-def test_rings_and_completes_are_vertex_transitive():
-    for n in range(3, 9):
-        assert is_vertex_transitive(ring_graph(n))
-        assert is_vertex_transitive(complete_graph(n))
-
-
-def test_regular_but_not_vertex_transitive():
-    # Two K4-minus-an-edge blocks bridged into a 3-regular graph; vertices
-    # sit in different numbers of triangles, so no automorphism can map
-    # them onto each other.
-    text = "\n".join(
-        ["0 1", "0 2", "0 3", "1 2", "1 3", "4 5", "4 6", "4 7", "5 6", "5 7", "2 6", "3 7"]
-    )
-    g = load_edge_list(text)
-    assert (g.degrees() == 3).all()
-    assert not is_vertex_transitive(g)
-
-
-def test_vertex_transitivity_size_cap():
-    with pytest.raises(ValueError, match="topology tag"):
-        is_vertex_transitive(ring_graph(11))
+    for i, j in edges:
+        parent[find(i)] = find(j)
+    groups = {}
+    for v in range(n):
+        groups.setdefault(find(v), set()).add(v)
+    return list(groups.values())
 
 
 def test_all_constructed_graphs_connected():
-    # Connectivity is a constructor invariant; components() must be trivial.
-    for g in (ring_graph(6), star_graph(6), complete_graph(6)):
-        assert len(g.components()) == 1
+    # Connectivity is a constructor invariant; the oracle must agree.
+    for g in (ring_graph(6), star_graph(6), complete_graph(6), complete_graph(2)):
+        assert len(union_find_components(g.n, g.edges)) == 1
+
+
+def test_constructor_accepts_exactly_connected_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def edge_lists(draw):
+        n = draw(st.integers(2, 7))
+        agent = st.integers(0, n - 1)
+        pairs = st.tuples(agent, agent).filter(lambda e: e[0] != e[1])
+        return n, draw(st.lists(pairs, max_size=10))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(edge_lists())
+    @hypothesis.example((3, [(1, 2)]))  # agent 0 itself is the isolated one
+    @hypothesis.example((4, [(0, 1), (2, 3)]))
+    @hypothesis.example((5, [(0, 2), (2, 4), (4, 0), (1, 3)]))
+    def check(case):
+        n, edges = case
+        adj = np.zeros((n, n), dtype=bool)
+        for u, v in edges:
+            adj[u, v] = adj[v, u] = True
+        components = union_find_components(n, edges)
+        if len(components) == 1:
+            assert Graph(n, adj).n == n
+            return
+        cut_off = sorted(set(range(n)) - next(c for c in components if 0 in c))
+        with pytest.raises(ValueError) as info:
+            Graph(n, adj)
+        assert str(info.value) == f"graph is disconnected: agents {cut_off} cannot reach agent 0"
+
+    check()
