@@ -11,7 +11,6 @@ oracle), per-topology closed forms, and Monte Carlo.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,7 +28,6 @@ MAX_EXACT_EDGES = 22
 # Exact integer binomials below this; log-gamma above to avoid float overflow.
 _EXACT_BINOM_MAX = 30
 
-_CLAMP_WARN_TOL = 1e-9
 _MC_CHUNK = 50_000
 # Masks labelled per enumeration step; larger chunks buy little speed for
 # megabytes of peak memory.
@@ -185,38 +183,34 @@ def _binom_term(a: int, b: int, base: float, exp: int) -> float:
     return math.exp(_lchoose(a, b) + exp * math.log(base))
 
 
-def _clamp_probability(value: float, context: str) -> float:
-    if value < -_CLAMP_WARN_TOL or value > 1.0 + _CLAMP_WARN_TOL:
-        warnings.warn(
-            f"{context} produced {value!r}, outside [0, 1] beyond tolerance; clamping",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return min(1.0, max(0.0, value))
-
-
 def _all_reach_table(k: int, p: float) -> list[float]:
-    """Q[1..k]: probability one document reaches all of a complete graph."""
+    """Q[1..k]: probability one document reaches all of a complete graph.
+
+    Removing an agent from a connected K_s leaves blocks that each touch it
+    and share no edge; the block of size j holding the lowest other agent
+    gives Q_s = sum_j C(s-2, j-1) (1-p)^(j(s-1-j)) Q_j (1 - (1-p)^j) Q_(s-j),
+    Q_(s-j) covering the other blocks with the removed agent.  No term is
+    subtracted, so small p loses no digits to cancellation.
+    """
     q = [0.0] * (k + 1)
     q[1] = 1.0
     if k >= 2:
         q[2] = p  # single edge must survive
     one_minus = 1.0 - p
+    hit = [1.0 - one_minus**j for j in range(k + 1)]
     for s in range(3, k + 1):
-        stranded = sum(
-            _binom_term(s - 1, ell - 1, one_minus, ell * (s - ell)) * q[ell]
-            for ell in range(1, s)
+        q[s] = sum(
+            _binom_term(s - 2, j - 1, one_minus, j * (s - 1 - j)) * q[j] * hit[j] * q[s - j]
+            for j in range(1, s)
         )
-        q[s] = _clamp_probability(1.0 - stranded, f"all-reach recursion at k={s}")
     return q
 
 
 def complete_connected_probability(k: int, p: float) -> float:
     """Probability a document reaches every agent of a complete graph on k nodes.
 
-    Computed by recursion on the size of the component stranded around the
-    source; equals the probability that the Bernoulli-thinned K_k stays
-    connected.
+    Equals the probability that the Bernoulli-thinned K_k stays connected;
+    see `_all_reach_table` for the all-positive recursion.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -239,7 +233,7 @@ def complete_pair_reach(n: int, p: float) -> float:
         _binom_term(n - 2, k - 2, one_minus, k * (n - k)) * q[k]
         for k in range(2, n + 1)
     )
-    return _clamp_probability(total, f"complete-graph pair reach at n={n}")
+    return min(1.0, total)
 
 
 def complete_pair_bounds(n: int, p: float) -> tuple[float, float]:
@@ -309,11 +303,9 @@ def reach_closed_form(g: Graph, p: float) -> Dissemination:
         reach = np.full((n, n), p**2)
         reach[0, :] = reach[:, 0] = p
     elif g.topology == RING:
-        reach = np.empty((n, n))
-        for d in range(1, n // 2 + 1):
-            val = ring_pair_reach(n, p, d)
-            for i in range(n):
-                reach[i, (i + d) % n] = reach[(i + d) % n, i] = val
+        vals = np.array([ring_pair_reach(n, p, d) for d in range(n // 2 + 1)])
+        d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        reach = vals[np.minimum(d, n - d)]
     elif g.topology == COMPLETE:
         reach = np.full((n, n), complete_pair_reach(n, p))
     else:
@@ -397,8 +389,6 @@ def p_for_half_coverage(g: Graph, tolerance: float = 1e-9) -> float:
         raise ValueError("tolerance must be positive")
     n = g.n
     target = n / 2.0
-    if _mean_docs(g.topology, n, 1.0) < target:
-        raise AssertionError("unreachable: mean docs at p=1 equals n >= n/2")
     if _mean_docs(g.topology, n, 0.0) >= target - tolerance:
         return 0.0  # n=2 boundary: one document is already half of n
     lo, hi = 0.0, 1.0

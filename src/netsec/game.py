@@ -448,7 +448,10 @@ def _vt_docs(topology: str, n: int, p: float) -> float:
 
 def investment_gap(topology: str, n: int, p: float, alpha: float, omega: float) -> float:
     """Equilibrium minus optimal investment at p (positive = over-investment)."""
-    d = _vt_docs(topology, n, p)
+    return _gap_at_docs(_vt_docs(topology, n, p), n, alpha, omega)
+
+
+def _gap_at_docs(d: float, n: int, alpha: float, omega: float) -> float:
     return float(nash_strategic_vt(d, n, alpha, omega)[0]) - d / (alpha * n)
 
 
@@ -497,13 +500,12 @@ def find_crossover_p(
         return p_star
 
     grid = np.linspace(eps, 1.0 - eps, 1001)
-    values = np.array([gap(p) for p in grid])
+    docs = [_vt_docs(topology, n, p) for p in grid]
+    values = np.array([_gap_at_docs(d, n, alpha, omega) for d in docs])
     crossings = []
     for idx in np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]:
         crossings.append(bisect(grid[idx], grid[idx + 1], values[idx]))
-    holds = np.array(
-        [unique_crossover_condition(_vt_docs(topology, n, p), n, alpha) for p in grid]
-    )
+    holds = np.array([unique_crossover_condition(d, n, alpha) for d in docs])
     interval = None
     if holds.any():
         interval = (float(grid[holds][0]), float(grid[holds][-1]))

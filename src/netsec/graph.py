@@ -7,7 +7,8 @@ on connectivity without re-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +33,6 @@ class Graph:
     n: int
     adjacency: np.ndarray
     topology: str = CUSTOM
-    _edges: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         adj = np.asarray(self.adjacency, dtype=bool)
@@ -46,10 +46,6 @@ class Graph:
             raise ValueError("a network needs at least 2 agents")
         adj.flags.writeable = False
         object.__setattr__(self, "adjacency", adj)
-        edges = tuple(
-            (int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(adj)))
-        )
-        object.__setattr__(self, "_edges", edges)
         reached = np.zeros(self.n, dtype=bool)
         frontier = reached.copy()
         reached[0] = frontier[0] = True
@@ -60,14 +56,15 @@ class Graph:
             cut_off = np.flatnonzero(~reached).tolist()
             raise ValueError(f"graph is disconnected: agents {cut_off} cannot reach agent 0")
 
-    @property
+    @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """Edges as (i, j) pairs with i < j."""
-        return self._edges
+        """Edges as (i, j) pairs with i < j, built on first use."""
+        rows, cols = np.nonzero(np.triu(self.adjacency))
+        return tuple(zip(rows.tolist(), cols.tolist()))
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return int(np.count_nonzero(self.adjacency)) // 2
 
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1)

@@ -5,6 +5,7 @@ from netsec import cli, game
 from netsec.dissemination import Params, complete_docs, disseminate
 from netsec.game import NonConvergenceError
 from netsec.graph import ring_graph
+from reed_frost import complete_reach_oracle
 
 
 def run_cli(capsys, *argv):
@@ -33,6 +34,22 @@ def test_disseminate_format_and_values(capsys):
     cells = lines[2].split(",")  # row for (0, 1)
     assert cells[:2] == ["0", "1"]
     assert float(cells[2]) == pytest.approx(0.5625, abs=1e-12)
+
+
+def test_disseminate_complete_sparse_matches_oracle(capsys):
+    code, out, _ = run_cli(
+        capsys, "disseminate", "--topology", "complete", "--n", "40", "--p", "0.01",
+    )
+    assert code == 0
+    pair, _ = complete_reach_oracle(40, 0.01)
+    lines = parse_csv_block(out)
+    split = lines.index("i,D_i")
+    for line in lines[1:split]:
+        i, j, value = line.split(",")
+        expected = 1.0 if i == j else pair
+        assert float(value) == pytest.approx(expected, rel=1e-9)
+    for line in lines[split + 1 :]:
+        assert float(line.split(",")[1]) == pytest.approx(1.0 + 39 * pair, rel=1e-9)
 
 
 def test_disseminate_deterministic_mc(capsys):

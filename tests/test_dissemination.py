@@ -19,6 +19,7 @@ from netsec.dissemination import (
     topology_docs,
 )
 from netsec.graph import complete_graph, load_edge_list, ring_graph, star_graph
+from reed_frost import complete_reach_oracle
 
 P_GRID = [round(0.1 * k, 1) for k in range(1, 10)]
 
@@ -236,6 +237,16 @@ def test_pair_bounds_contain_exact_value():
 def test_pair_bounds_at_p_one():
     lo, hi = complete_pair_bounds(7, 1.0)
     assert lo == 1.0 and hi == 1.0
+
+
+@pytest.mark.parametrize("n", [10, 20, 40, 100])
+@pytest.mark.parametrize("p", [0.001, 0.005, 0.01, 0.02, 0.05, 0.1, 0.5, 0.9])
+def test_complete_graph_matches_reed_frost_oracle(n, p):
+    # Small p is the sparse-sharing regime, where tiny connectivity
+    # probabilities must not be found as one minus a sum close to 1.
+    pair, connected = complete_reach_oracle(n, p)
+    assert complete_pair_reach(n, p) == pytest.approx(pair, rel=1e-9, abs=0.0)
+    assert complete_connected_probability(n, p) == pytest.approx(connected, rel=1e-9, abs=0.0)
 
 
 def test_pair_reach_large_n_uses_log_binomials():
