@@ -326,11 +326,15 @@ def reach_monte_carlo(
 ) -> Dissemination:
     """Monte Carlo reach estimate from 2 * `samples` shared spreads.
 
-    Each spread draws every edge once and is labelled once; every source
-    reads its row from the same labels, so each entry averages 2 * `samples`
-    spreads.  Sharing the spreads across sources is sound because every
-    output is a pairwise marginal, the probability that i and j are joined;
-    it also makes the estimate exactly symmetric.  One RNG stream, read in
+    Each spread draws every edge once; every source reads its row from the
+    same labels, so each entry averages 2 * `samples` spreads.  Sharing the
+    spreads across sources is sound because every output is a pairwise
+    marginal, the probability that i and j are joined; it also makes the
+    estimate exactly symmetric.  An entry depends on a spread only through
+    its set of surviving edges, so when the 2**m possible sets are no more
+    than the spreads in a chunk, the chunk's repeated sets are counted and
+    each distinct one is labelled once; larger graphs label every spread.
+    Either way the integer counts are the same.  One RNG stream, read in
     order, keeps estimates reproducible and independent of the chunk size.
     std_err holds the binomial standard error of each entry.
     """
@@ -338,14 +342,23 @@ def reach_monte_carlo(
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     n, edges = g.n, g.edges
+    m = len(edges)
+    bits = np.arange(m)
     spreads = 2 * samples
     rng = np.random.default_rng(seed & (2**64 - 1))
     counts = np.zeros((n, n))
     for start in range(0, spreads, _MC_CHUNK):
-        present = rng.random((min(_MC_CHUNK, spreads - start), len(edges))) < p
+        present = rng.random((min(_MC_CHUNK, spreads - start), m)) < p
+        weight = None
+        if 1 << m <= len(present):
+            mult = np.bincount(present @ (1 << bits), minlength=1 << m)
+            masks = np.flatnonzero(mult)
+            present = ((masks[:, None] >> bits) & 1).astype(bool)
+            weight = mult[masks].astype(float)
         labels = _component_labels(present, edges, n)
         for src in range(n):
-            counts[src] += (labels == labels[:, src : src + 1]).sum(axis=0)
+            same = labels == labels[:, src : src + 1]
+            counts[src] += same.sum(axis=0) if weight is None else weight @ same
     reach = counts / spreads
     std_err = np.sqrt(reach * (1.0 - reach) / spreads)
     return Dissemination(reach, reach.sum(axis=0), METHOD_MC, std_err=std_err)

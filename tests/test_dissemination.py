@@ -5,6 +5,7 @@ import pytest
 
 from netsec.dissemination import (
     Params,
+    _component_labels,
     complete_connected_probability,
     complete_docs,
     complete_pair_bounds,
@@ -310,21 +311,87 @@ def test_monte_carlo_invariant_to_batch_size(monkeypatch):
     assert np.array_equal(full.reach, chunked.reach)
 
 
-def test_monte_carlo_draws_each_spread_once(monkeypatch):
-    # Every source reads the same labels, so 2 * samples spreads are
-    # labelled in all.
+def _counting_labels(monkeypatch):
+    """Wrap _component_labels to record each batch of labelled rows."""
     import netsec.dissemination as diss_mod
 
-    labelled = []
+    batches = []
     label = diss_mod._component_labels
 
     def counting(present, edges, n):
-        labelled.append(present.shape[0])
+        batches.append(present.copy())
         return label(present, edges, n)
 
     monkeypatch.setattr(diss_mod, "_component_labels", counting)
+    return batches
+
+
+def test_monte_carlo_labels_each_distinct_subset_once(monkeypatch):
+    # A 5-ring has 2**5 edge subsets, fewer than a chunk's spreads, so each
+    # batch holds every occurring subset once.
+    batches = _counting_labels(monkeypatch)
     reach_monte_carlo(ring_graph(5), 0.5, 1000, seed=5)
-    assert sum(labelled) == 2 * 1000
+    assert batches
+    for present in batches:
+        assert present.shape[0] <= 2**5
+        assert np.unique(present, axis=0).shape[0] == present.shape[0]
+
+
+def test_monte_carlo_labels_every_spread_above_threshold(monkeypatch):
+    # A 20-ring has more subsets than a chunk has spreads: every spread is
+    # labelled once.
+    batches = _counting_labels(monkeypatch)
+    reach_monte_carlo(ring_graph(20), 0.5, 1000, seed=5)
+    assert sum(present.shape[0] for present in batches) == 2 * 1000
+
+
+def per_spread_monte_carlo(g, p, samples, seed, chunk):
+    """Reference estimator: label every spread and count each one."""
+    n, edges = g.n, g.edges
+    spreads = 2 * samples
+    rng = np.random.default_rng(seed & (2**64 - 1))
+    counts = np.zeros((n, n))
+    for start in range(0, spreads, chunk):
+        present = rng.random((min(chunk, spreads - start), len(edges))) < p
+        labels = _component_labels(present, edges, n)
+        for src in range(n):
+            counts[src] += (labels == labels[:, src : src + 1]).sum(axis=0)
+    reach = counts / spreads
+    return reach, np.sqrt(reach * (1.0 - reach) / spreads)
+
+
+MC_ORACLE_GRAPHS = [
+    ring_graph(5),
+    ring_graph(6),
+    ring_graph(15),
+    ring_graph(16),
+    ring_graph(30),
+    star_graph(5),
+    complete_graph(5),
+    complete_graph(6),
+]
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("g", MC_ORACLE_GRAPHS, ids=lambda g: f"{g.topology}{g.n}")
+def test_monte_carlo_matches_per_spread_oracle(monkeypatch, g, p, chunk):
+    # Counting repeated subsets must give the same integer counts as
+    # labelling every spread, in reduced chunks and in chunks that are not.
+    import netsec.dissemination as diss_mod
+
+    if chunk is None:
+        # A full chunk and one of 2000 spreads: graphs of at most 10 edges
+        # reduce both, 15-edge graphs the first only, 16 or more neither.
+        samples = diss_mod._MC_CHUNK // 2 + 1000
+    else:
+        # 94 chunks, the last of 48 spreads, fewer than a 6-ring's 64 subsets.
+        monkeypatch.setattr(diss_mod, "_MC_CHUNK", chunk)
+        samples = 3000
+    mc = reach_monte_carlo(g, p, samples, seed=11)
+    reach, std_err = per_spread_monte_carlo(g, p, samples, 11, diss_mod._MC_CHUNK)
+    assert np.array_equal(mc.reach, reach)
+    assert np.array_equal(mc.std_err, std_err)
 
 
 def test_disseminate_dispatch():
