@@ -64,8 +64,6 @@ def _water_fill(v, omega: float):
     inputs they have already checked; `optimal_attack` is the checked entry.
     """
     n = v.size
-    if n == 1:
-        return np.ones(1), float(omega - v[0]), np.arange(1)
     vs = v[(-v).argsort(kind="stable")]
     if vs[0] == vs[-1]:
         # All-equal values: the solution is exactly uniform.

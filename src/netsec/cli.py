@@ -86,6 +86,8 @@ def _parse_vector(text: str) -> np.ndarray:
 
 def _resolve_graph(args) -> Graph:
     if getattr(args, "edges", None):
+        if args.topology or args.n is not None:
+            raise ValueError("--edges gives the whole graph; drop --topology and --n")
         with open(args.edges, encoding="utf-8") as handle:
             return load_edge_list(handle.read())
     if args.topology:
@@ -273,12 +275,8 @@ def _cmd_crossover(args) -> str:
             g.topology, n, args.alpha, args.omega, details=True
         )
         lines.append(f"all,{_fmt(p_star)}")
-        interval = info["condition_interval"]
-        if interval is not None:
-            metrics.append(("strengthen_from", interval[0]))
-            metrics.append(("strengthen_to", interval[1]))
-        for extra in info["sign_changes"][1:]:
-            lines.append(f"all,{_fmt(extra)}")
+        lo, hi = info["condition_interval"]
+        metrics = [("strengthen_from", lo), ("strengthen_to", hi)]
     elif g.topology == STAR:
         grid = _parse_grid(args.p_grid)
         profiles = [_regime_profiles(g, p, args) for p in grid]

@@ -385,29 +385,23 @@ def disseminate(
 # Coverage threshold
 # ---------------------------------------------------------------------------
 
-def _mean_docs(topology: str, n: int, p: float) -> float:
-    return float(topology_docs(topology, n, p).mean())
+def _p_for_mean_docs(topology: str, n: int, target: float, tolerance: float) -> float:
+    """Bisect the closed-form mean documents, strictly increasing in p, for `target`.
 
-
-def p_for_half_coverage(g: Graph, tolerance: float = 1e-9) -> float:
-    """Transmission probability at which mean expected documents hit n/2.
-
-    Uses bisection on the closed-form mean, which is strictly increasing
-    in p.  On the (non-homogeneous) star this targets the mean over
-    agents; per-class thresholds differ and are not what this reports.
+    Returns 0 when p = 0 already reaches the target within `tolerance`.
     """
-    if g.topology not in TOPOLOGIES:
-        raise ValueError(f"closed-form topologies only, got {g.topology!r}")
-    if tolerance <= 0:
+    if not tolerance > 0:  # NaN fails too
         raise ValueError("tolerance must be positive")
-    n = g.n
-    target = n / 2.0
-    if _mean_docs(g.topology, n, 0.0) >= target - tolerance:
-        return 0.0  # n=2 boundary: one document is already half of n
+
+    def mean_docs(p):
+        return float(topology_docs(topology, n, p).mean())
+
+    if mean_docs(0.0) >= target - tolerance:
+        return 0.0
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        val = _mean_docs(g.topology, n, mid)
+        val = mean_docs(mid)
         if abs(val - target) <= tolerance:
             return mid
         if val < target:
@@ -415,6 +409,20 @@ def p_for_half_coverage(g: Graph, tolerance: float = 1e-9) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def p_for_half_coverage(g: Graph, tolerance: float = 1e-9) -> float:
+    """Transmission probability at which mean expected documents hit n/2.
+
+    Inverts the closed-form mean with `_p_for_mean_docs`, the same
+    bisection that places the lower end of the crossover condition
+    interval.  On the (non-homogeneous) star this targets the mean over
+    agents; per-class thresholds differ and are not what this reports.
+    At n = 2 one document is already half of n, so this returns 0.
+    """
+    if g.topology not in TOPOLOGIES:
+        raise ValueError(f"closed-form topologies only, got {g.topology!r}")
+    return _p_for_mean_docs(g.topology, g.n, g.n / 2.0, tolerance)
 
 
 def _check_p(p: float) -> None:

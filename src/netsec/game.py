@@ -31,6 +31,7 @@ from .dissemination import (
     Dissemination,
     Params,
     _check_cost,
+    _p_for_mean_docs,
     complete_docs,
     ring_docs,
     star_docs,
@@ -448,10 +449,7 @@ def _vt_docs(topology: str, n: int, p: float) -> float:
 
 def investment_gap(topology: str, n: int, p: float, alpha: float, omega: float) -> float:
     """Equilibrium minus optimal investment at p (positive = over-investment)."""
-    return _gap_at_docs(_vt_docs(topology, n, p), n, alpha, omega)
-
-
-def _gap_at_docs(d: float, n: int, alpha: float, omega: float) -> float:
+    d = _vt_docs(topology, n, p)
     return float(nash_strategic_vt(d, n, alpha, omega)[0]) - d / (alpha * n)
 
 
@@ -465,11 +463,17 @@ def find_crossover_p(
 ):
     """Transmission probability where equilibrium investments are optimal.
 
-    Bisects the gap between strategic equilibrium and strategic optimum on
-    (0, 1), after checking it is positive near 0 and negative near 1.
-    With details=True also returns every sign change found on a fine grid
-    and the interval where the unique-crossover condition holds.
+    The root is unique: with d = D(p) rising from 1 to n, the gap has the sign
+    of h(d) = d (n - d)(alpha n - d) - alpha n omega (d - 1), a cubic with a
+    positive leading term, h(1) > 0 and h(n) < 0, so one root lies in (1, n).
+    Bisects the gap on (0, 1) to `tol` after checking it is positive near 0
+    and negative near 1.  With details=True also returns the exact interval
+    where `unique_crossover_condition` holds: d lies between the roots of
+    2 d^2 - 2 (n + alpha n - 1) d + n (alpha n - 1), the upper one is >= n,
+    so the interval is (D^-1(d_lo), 1), with 0 as its lower end when d_lo <= 1.
     """
+    if not tol > 0:  # NaN fails too
+        raise ValueError("tol must be positive")
     _check_cost("alpha", alpha)
     _check_cost("omega", omega)
     eps = 1e-9
@@ -482,38 +486,23 @@ def find_crossover_p(
             "no over-to-under-investment sign change on (0, 1); "
             f"gap({eps})={gap(eps):.3e}, gap(1-{eps})={gap(1.0 - eps):.3e}"
         )
-
-    def bisect(lo, hi, f_lo):
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            f_mid = gap(mid)
-            if f_mid == 0.0:
-                return mid
-            if (f_mid > 0.0) == (f_lo > 0.0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    p_star = bisect(eps, 1.0 - eps, gap(eps))
+    lo, hi = eps, 1.0 - eps
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        f_mid = gap(mid)
+        if f_mid == 0.0:
+            lo = hi = mid
+        elif f_mid > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    p_star = 0.5 * (lo + hi)
     if not details:
         return p_star
-
-    grid = np.linspace(eps, 1.0 - eps, 1001)
-    docs = [_vt_docs(topology, n, p) for p in grid]
-    values = np.array([_gap_at_docs(d, n, alpha, omega) for d in docs])
-    crossings = []
-    for idx in np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]:
-        crossings.append(bisect(grid[idx], grid[idx + 1], values[idx]))
-    holds = np.array([unique_crossover_condition(d, n, alpha) for d in docs])
-    interval = None
-    if holds.any():
-        interval = (float(grid[holds][0]), float(grid[holds][-1]))
-    return p_star, {
-        "sign_changes": crossings,
-        "condition_interval": interval,
-        "condition_everywhere": bool(holds.all()),
-    }
+    b = alpha * n - 1.0
+    # The smaller root as product / larger root, free of cancellation.
+    d_lo = n * b / ((n + b) + float(np.hypot(n, b)))
+    return p_star, {"condition_interval": (_p_for_mean_docs(topology, n, d_lo, tol), 1.0)}
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,25 @@ def test_missing_graph_exits_2(capsys):
     assert "topology" in err
 
 
+@pytest.mark.parametrize("named", [
+    ["--topology", "ring"], ["--n", "5"], ["--topology", "ring", "--n", "5"],
+])
+@pytest.mark.parametrize("argv", [
+    ["disseminate", "--p", "0.5"],
+    ["attack", "--p", "0.5", "--q", "0,0,0"],
+    ["equilibrium", "--p", "0.5", "--regime", "nash-random"],
+    ["sweep-investments"],
+    ["crossover"],
+])
+def test_edges_with_named_graph_exits_2(capsys, tmp_path, argv, named):
+    edge_file = tmp_path / "g.txt"
+    edge_file.write_text("0 1\n1 2\n")
+    code, out, err = run_cli(capsys, *argv, "--edges", str(edge_file), *named)
+    assert code == 2
+    assert out == ""
+    assert err == "netsec: --edges gives the whole graph; drop --topology and --n\n"
+
+
 def test_nonconvergence_maps_to_exit_3(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise NonConvergenceError("forced")

@@ -6,6 +6,7 @@ import pytest
 from netsec.dissemination import (
     Params,
     _component_labels,
+    _p_for_mean_docs,
     complete_connected_probability,
     complete_docs,
     complete_pair_bounds,
@@ -495,3 +496,11 @@ def test_half_coverage_star_uses_mean():
 def test_half_coverage_rejects_custom():
     with pytest.raises(ValueError):
         p_for_half_coverage(load_edge_list("0 1\n1 2"))
+
+
+@pytest.mark.parametrize("tolerance", [0.0, float("nan")])
+def test_mean_docs_inversion_rejects_non_positive_tolerance(tolerance):
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        _p_for_mean_docs("ring", 5, 2.5, tolerance)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        p_for_half_coverage(ring_graph(5), tolerance=tolerance)

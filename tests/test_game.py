@@ -501,10 +501,50 @@ def test_crossover_earlier_on_denser_graph():
 
 def test_crossover_details():
     p_star, info = find_crossover_p("ring", 5, 1.0, 1.0, details=True)
-    assert len(info["sign_changes"]) == 1
-    assert info["sign_changes"][0] == pytest.approx(p_star, abs=1e-8)
     lo, hi = info["condition_interval"]
     assert lo < p_star < hi
+
+
+def test_crossover_is_the_only_sign_change():
+    # The gap has the sign of a cubic in D(p) with one root in (1, n), so a
+    # grid sees one sign change and the bisection lands in its bracket.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    graphs = st.one_of(
+        st.tuples(st.just("ring"), st.integers(3, 40)),
+        st.tuples(st.just("complete"), st.integers(2, 40)),
+    )
+
+    @hypothesis.settings(max_examples=50, deadline=None)
+    @hypothesis.given(graphs, st.floats(1.0, 10.0), st.floats(1.0, 100.0))
+    def check(graph, alpha, omega):
+        topology, n = graph
+        grid = np.linspace(1e-9, 1.0 - 1e-9, 201)
+        gaps = np.array([investment_gap(topology, n, p, alpha, omega) for p in grid])
+        assert gaps[0] > 0.0 > gaps[-1]
+        (k,) = np.nonzero(np.diff(np.sign(gaps)))[0]
+        assert grid[k] <= find_crossover_p(topology, n, alpha, omega) <= grid[k + 1]
+
+    check()
+
+
+@pytest.mark.parametrize("topology, docs", [("ring", ring_docs), ("complete", complete_docs)])
+@pytest.mark.parametrize("n", [3, 4, 5, 10, 30])
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_condition_interval_is_exact(topology, docs, n, alpha):
+    _, info = find_crossover_p(topology, n, alpha, 1.0, details=True)
+    lo, hi = info["condition_interval"]
+    assert hi == 1.0
+    if lo > 0.0:
+        assert not unique_crossover_condition(docs(n, lo - 1e-6), n, alpha)
+    for p in np.linspace(lo + 1e-6, 1.0, 101):
+        assert unique_crossover_condition(docs(n, p), n, alpha)
+
+
+@pytest.mark.parametrize("tol", [0.0, float("nan")])
+def test_crossover_rejects_non_positive_tol(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        find_crossover_p("ring", 5, 1.0, 1.0, tol=tol)
 
 
 def test_crossover_rejects_star():
