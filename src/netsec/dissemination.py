@@ -25,9 +25,6 @@ METHOD_MC = "mc"
 # 2**edges subsets are enumerated; beyond this the walk is unreasonably slow.
 MAX_EXACT_EDGES = 22
 
-# Exact integer binomials below this; log-gamma above to avoid float overflow.
-_EXACT_BINOM_MAX = 30
-
 _MC_CHUNK = 50_000
 # Masks labelled per enumeration step; larger chunks buy little speed for
 # megabytes of peak memory.
@@ -170,39 +167,39 @@ def reach_exact(g: Graph, p: float) -> Dissemination:
 # Closed forms
 # ---------------------------------------------------------------------------
 
-def _lchoose(a: int, b: int) -> float:
-    return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
-
-
-def _binom_term(a: int, b: int, base: float, exp: int) -> float:
-    """C(a, b) * base**exp without overflow for large a."""
-    if a <= _EXACT_BINOM_MAX:
-        return math.comb(a, b) * base**exp
+def _binomial_weights(log_fact, a, b, base: float, exp) -> np.ndarray:
+    """C(a, b) * base**exp over index arrays b and exp, from a log-factorial
+    table so that large a cannot overflow."""
+    log_comb = log_fact[a] - log_fact[b] - log_fact[a - b]
     if base == 0.0:
-        return 0.0 if exp > 0 else math.exp(_lchoose(a, b))
-    return math.exp(_lchoose(a, b) + exp * math.log(base))
+        return np.where(exp == 0, np.exp(log_comb), 0.0)
+    return np.exp(log_comb + exp * math.log(base))
 
 
-def _all_reach_table(k: int, p: float) -> list[float]:
+def _log_factorials(k: int) -> np.ndarray:
+    return np.array([math.lgamma(i + 1.0) for i in range(k + 1)])
+
+
+def _all_reach_table(k: int, p: float, log_fact: np.ndarray) -> np.ndarray:
     """Q[1..k]: probability one document reaches all of a complete graph.
 
     Removing an agent from a connected K_s leaves blocks that each touch it
     and share no edge; the block of size j holding the lowest other agent
     gives Q_s = sum_j C(s-2, j-1) (1-p)^(j(s-1-j)) Q_j (1 - (1-p)^j) Q_(s-j),
     Q_(s-j) covering the other blocks with the removed agent.  No term is
-    subtracted, so small p loses no digits to cancellation.
+    subtracted, so small p loses no digits to cancellation.  Each row is one
+    dot product; log_fact holds log i! for i = 0..k.
     """
-    q = [0.0] * (k + 1)
+    q = np.zeros(k + 1)
     q[1] = 1.0
     if k >= 2:
         q[2] = p  # single edge must survive
     one_minus = 1.0 - p
-    hit = [1.0 - one_minus**j for j in range(k + 1)]
+    hit = 1.0 - one_minus ** np.arange(k + 1)
     for s in range(3, k + 1):
-        q[s] = sum(
-            _binom_term(s - 2, j - 1, one_minus, j * (s - 1 - j)) * q[j] * hit[j] * q[s - j]
-            for j in range(1, s)
-        )
+        j = np.arange(1, s)
+        weights = _binomial_weights(log_fact, s - 2, j - 1, one_minus, j * (s - 1 - j))
+        q[s] = (weights * q[j] * hit[j]) @ q[s - j]
     return q
 
 
@@ -215,7 +212,7 @@ def complete_connected_probability(k: int, p: float) -> float:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _check_p(p)
-    return _all_reach_table(k, p)[k]
+    return float(_all_reach_table(k, p, _log_factorials(k))[k])
 
 
 def complete_pair_reach(n: int, p: float) -> float:
@@ -227,13 +224,10 @@ def complete_pair_reach(n: int, p: float) -> float:
         return p
     if n == 3:
         return p + p**2 - p**3
-    q = _all_reach_table(n, p)
-    one_minus = 1.0 - p
-    total = sum(
-        _binom_term(n - 2, k - 2, one_minus, k * (n - k)) * q[k]
-        for k in range(2, n + 1)
-    )
-    return min(1.0, total)
+    log_fact = _log_factorials(n)
+    k = np.arange(2, n + 1)
+    weights = _binomial_weights(log_fact, n - 2, k - 2, 1.0 - p, k * (n - k))
+    return min(1.0, float(weights @ _all_reach_table(n, p, log_fact)[k]))
 
 
 def complete_pair_bounds(n: int, p: float) -> tuple[float, float]:

@@ -46,6 +46,7 @@ OPT_STRATEGIC = "opt-strategic"
 REGIMES = (NASH_RANDOM, OPT_RANDOM, NASH_STRATEGIC, OPT_STRATEGIC)
 
 _HOMOGENEITY_TOL = 1e-9
+_ANDERSON_WINDOW = 4  # sweeps kept for extrapolation in best_response_dynamics
 
 
 class NonConvergenceError(RuntimeError):
@@ -263,18 +264,26 @@ def best_response_dynamics(
     tol: float = 1e-8,
     max_iter: int = 500,
 ) -> GameOutcome:
-    """Cyclic exact best-response iteration for the strategic investment game.
+    """Cyclic exact best-response iteration for the strategic investment
+    game, accelerated by extrapolation.
 
-    Agents update in fixed ascending order.  Once a sweep moves no
-    investment by more than tol, the profile is certified by its Nash gap:
-    it is returned only if no agent gains more than tol by deviating
-    alone.  A pure strategic equilibrium need not exist on a general graph,
-    because rewards kink upward in q_i, so NonConvergenceError (carrying
-    the last iterate and its Nash gap) is raised when the gap fails, when
-    a sweep ends on exactly the profile of an earlier sweep (a cycle), or
-    past max_iter sweeps.
+    A sweep updates every agent once, in fixed ascending order.  The next
+    sweep starts from the Anderson (type-II) extrapolation of the last
+    `_ANDERSON_WINDOW` sweeps: their outputs combined with the weights that
+    best cancel their residuals by least squares, clipped to [0, 1]
+    (Walker and Ni, SIAM J. Numer. Anal. 2011).  A sweep that moves no less
+    than the one before drops that history and starts from its own output.
+    Once a sweep moves no investment by more than tol, the profile is
+    certified by its Nash gap: it is returned only if no agent gains more
+    than tol by deviating alone.  A pure strategic equilibrium need not
+    exist on a general graph, because rewards kink upward in q_i, so
+    NonConvergenceError (carrying the last iterate and its Nash gap) is
+    raised when the gap fails, past max_iter sweeps, or on a cycle: a
+    sweep starting without history from the profile an earlier one started
+    from.  The first cycle only switches to plain sweeps; a second ends the
+    iteration.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -284,27 +293,44 @@ def best_response_dynamics(
     reach = diss.reach
     alpha, omega = params.alpha, params.omega
     n = g.n
-    q = np.full(n, 0.5) if q0 is None else _as_security(q0, n)
-    seen = {}
+    x = np.full(n, 0.5) if q0 is None else _as_security(q0, n)
+    outputs, residuals = [], []
+    seen, reason, prev, accelerate = {}, None, np.inf, True
     for sweep in range(1, max_iter + 1):
-        delta = 0.0
+        if not outputs:  # the profile alone fixes what follows
+            key = x.tobytes()
+            if key in seen:
+                if not accelerate:
+                    reason = f"sweep {sweep} repeats the profile of sweep {seen[key]}"
+                    break
+                accelerate, seen = False, {}  # plain sweeps from here on
+            seen[key] = sweep
+        q = x.copy()
         for i in range(n):
-            updated = _best_response(i, q, docs, reach, alpha, omega)
-            delta = max(delta, abs(updated - q[i]))
-            q[i] = updated
-        key = q.tobytes()
-        if delta <= tol or key in seen:
+            q[i] = _best_response(i, q, docs, reach, alpha, omega)
+        delta = float(np.abs(q - x).max())
+        if delta <= tol:
             break
-        seen[key] = sweep
-    gain, agent = _nash_gap(q, docs, reach, alpha, omega)
-    if delta <= tol and gain <= tol:
-        return evaluate_outcome(diss, params, q, NASH_STRATEGIC)
-    if delta <= tol:
-        reason = f"sweep {sweep} settled on a profile that is no equilibrium"
-    elif key in seen:
-        reason = f"sweep {sweep} repeats the profile of sweep {seen[key]}"
+        if delta >= prev or not accelerate:  # restart from the plain sweep
+            outputs.clear()
+            residuals.clear()
+            x, prev = q, np.inf
+            continue
+        outputs.append(q)
+        residuals.append(q - x)
+        del outputs[:-_ANDERSON_WINDOW], residuals[:-_ANDERSON_WINDOW]
+        x, prev = q, delta
+        if len(outputs) > 1:
+            d_res = np.diff(residuals, axis=0).T
+            gamma = np.linalg.lstsq(d_res, residuals[-1], rcond=None)[0]
+            x = np.clip(q - np.diff(outputs, axis=0).T @ gamma, 0.0, 1.0)
     else:
         reason = f"no convergence in {max_iter} sweeps (last sweep moved {delta:.3e})"
+    gain, agent = _nash_gap(q, docs, reach, alpha, omega)
+    if reason is None and gain <= tol:
+        return evaluate_outcome(diss, params, q, NASH_STRATEGIC)
+    if reason is None:
+        reason = f"sweep {sweep} settled on a profile that is no equilibrium"
     raise NonConvergenceError(
         f"best-response dynamics stopped: {reason}; "
         f"agent {agent} gains {gain:.3e} by deviating alone",
@@ -373,7 +399,7 @@ def social_optimum_numeric(
     without a homogeneity guarantee the winner is the best stationary point
     found, not a certified global optimum.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
     if g.n != diss.n:
         raise ValueError("graph and dissemination disagree on the number of agents")

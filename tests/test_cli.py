@@ -318,8 +318,9 @@ def test_samples_below_one_exits_2_for_every_method(capsys, method, samples):
     assert "at least 1 sample" in err and "Traceback" not in err
 
 
-# The fourth known case, the 5-node graph at p = 0.6413, is in
-# test_game.py::test_brd_refuses_non_equilibrium.
+# Graphs without a certified pure strategic equilibrium at these p.  The
+# 5-node graph 0 1/1 2/1 3/1 4/2 3/2 4 at p = 0.6413, once listed here, has
+# one; test_game.py::test_brd_refuses_non_equilibrium checks it on a grid.
 @pytest.mark.parametrize("edges, p", [
     ("0 1\n1 2\n2 3\n3 4\n1 4\n0 5\n", 0.825),
     ("0 1\n1 2\n2 3\n3 4\n1 4\n0 5\n", 0.85),

@@ -252,8 +252,8 @@ def test_complete_graph_matches_reed_frost_oracle(n, p):
 
 
 def test_pair_reach_large_n_uses_log_binomials():
-    # n=60 exercises the log-gamma branch; the value must stay a probability
-    # inside the analytic envelope.
+    # At n=60 the binomials come from log-factorials; the value must stay a
+    # probability inside the analytic envelope.
     for p in (0.05, 0.2, 0.5):
         value = complete_pair_reach(60, p)
         lo, hi = complete_pair_bounds(60, p)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from netsec import cli, game
+from netsec import game
 from netsec.attack import _water_fill, breach_probabilities, optimal_attack
 from netsec.dissemination import (
     Params,
@@ -196,7 +196,9 @@ def test_brd_no_profitable_unilateral_deviation():
     assert -1e-12 <= gap <= 1e-10
 
 
-# Exact best-response dynamics cycles on both (periods of 12 and 8 sweeps).
+# Plain cyclic best-response sweeps cycle on both (periods of 12 and 8
+# sweeps).  Accelerated sweeps still cycle on SIX_NODE at p = 0.825 and
+# 0.85, and certify an equilibrium on FIVE_NODE at p = 0.6413.
 SIX_NODE = "0 1\n1 2\n2 3\n3 4\n1 4\n0 5\n"
 FIVE_NODE = "0 1\n1 2\n1 3\n1 4\n2 3\n2 4\n"
 
@@ -235,22 +237,22 @@ def test_best_response_matches_grid_oracle():
                 assert at_x >= best - 1e-12, (p, alpha, omega, i, q)
 
 
-def test_brd_refuses_non_equilibrium(capsys, tmp_path):
+def test_brd_refuses_non_equilibrium():
     # Rewards are not concave in q_i, so BRD can settle or cycle where some
-    # agent still gains by deviating alone; that is exit 3, not an answer.
+    # agent still gains by deviating alone; that is exit 3, not an answer
+    # (test_cli.py::test_strategic_non_equilibria_exit_3).  On this graph
+    # the accelerated sweeps certify a profile, so it must be one: no agent
+    # gains by moving alone to any point of a fine grid.
     g = load_edge_list(FIVE_NODE)
     p = 0.6413
-    with pytest.raises(NonConvergenceError, match="gains"):
-        best_response_dynamics(g, reach_exact(g, p), Params(p, 1.0, 1.0))
-    edges = tmp_path / "graph.txt"
-    edges.write_text(FIVE_NODE, encoding="utf-8")
-    code = cli.main([
-        "equilibrium", "--edges", str(edges), "--p", str(p), "--regime", "nash-strategic",
-    ])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1 and "gains" in captured.err
+    diss = reach_exact(g, p)
+    out = best_response_dynamics(g, diss, Params(p, 1.0, 1.0))
+    docs, reach = diss.expected_docs, diss.reach
+    grid = np.linspace(0.0, 1.0, 100_001)
+    for i in range(5):
+        best = _grid_rewards(i, out.q, docs, reach, 1.0, 1.0, grid).max()
+        at_q = _grid_rewards(i, out.q, docs, reach, 1.0, 1.0, out.q[i : i + 1])[0]
+        assert best <= at_q + 1e-9, i
 
 
 @pytest.mark.parametrize("p", [0.825, 0.85])
@@ -276,6 +278,91 @@ def test_brd_kernel_budget(monkeypatch):
     g = star_graph(20)
     best_response_dynamics(g, _closed_diss(g, 0.9), Params(0.9, 1.0, 1.0))
     assert len(calls) <= 2 * g.n
+
+
+def test_brd_sweep_budget(monkeypatch):
+    # Plain cyclic sweeps need 107 here, each step shrinking by about 0.84;
+    # extrapolating over the last sweeps certifies in under 30 (counting
+    # the certificate's n best responses).
+    calls = []
+    real = game._best_response
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(game, "_best_response", counting)
+    g = star_graph(20)
+    best_response_dynamics(g, _closed_diss(g, 0.9), Params(0.9, 1.0, 1.0))
+    assert len(calls) <= 30 * g.n
+
+
+def _star_oracle(n, p):
+    """Leaf-symmetric equilibrium of a star by nested bisection: for each
+    centre investment the leaves' common best-response fixed point, then
+    the centre's best-response fixed point against it."""
+    diss = _closed_diss(star_graph(n), p)
+    docs, reach = diss.expected_docs, diss.reach
+
+    def profile(centre, leaf):
+        q = np.full(n, leaf)
+        q[0] = centre
+        return q
+
+    def fixed_point(excess):  # excess >= 0 at 0 and <= 0 at 1
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if excess(mid) > 0.0 else (lo, mid)
+        return 0.5 * (lo + hi)
+
+    def leaf_level(centre):
+        return fixed_point(
+            lambda leaf: game._best_response(1, profile(centre, leaf), docs, reach, 1.0, 1.0)
+            - leaf
+        )
+
+    centre = fixed_point(
+        lambda c: game._best_response(0, profile(c, leaf_level(c)), docs, reach, 1.0, 1.0) - c
+    )
+    return profile(centre, leaf_level(centre)), diss
+
+
+@pytest.mark.parametrize("p", [0.5, 0.9])
+@pytest.mark.parametrize("n", [5, 20, 40, 60, 80, 120])
+def test_brd_certifies_star_equilibria(n, p):
+    # Plain cyclic sweeps took 107, 394 and 935 sweeps on the 20-, 40- and
+    # 60-stars at p = 0.9 and stalled on the 120-star.
+    oracle, diss = _star_oracle(n, p)
+    gap, _ = game._nash_gap(oracle, diss.expected_docs, diss.reach, 1.0, 1.0)
+    assert gap <= 1e-8
+    out = best_response_dynamics(star_graph(n), diss, Params(p, 1.0, 1.0))
+    assert np.abs(out.q - oracle).max() <= 1e-7
+
+
+def test_brd_falls_back_to_plain_sweeps_after_a_cycle():
+    # Extrapolated sweeps cycle on this graph at p = 0.7; plain sweeps from
+    # the repeated profile certify an equilibrium.
+    g = load_edge_list("0 1\n0 6\n1 2\n1 5\n1 6\n2 3\n3 4\n3 5\n4 5\n4 6\n5 6\n")
+    diss = reach_exact(g, 0.7)
+    out = best_response_dynamics(g, diss, Params(0.7, 1.0, 1.0))
+    gap, _ = game._nash_gap(out.q, diss.expected_docs, diss.reach, 1.0, 1.0)
+    assert gap <= 1e-8
+
+
+def test_brd_reports_exhausted_sweeps():
+    g = star_graph(20)
+    with pytest.raises(NonConvergenceError, match="no convergence in 3 sweeps") as err:
+        best_response_dynamics(g, _closed_diss(g, 0.9), Params(0.9, 1.0, 1.0), max_iter=3)
+    assert err.value.iterations == 3
+
+
+@pytest.mark.parametrize("tol", [0.0, float("nan")])
+@pytest.mark.parametrize("solver", [best_response_dynamics, social_optimum_numeric])
+def test_iterative_solvers_reject_non_positive_tol(solver, tol):
+    g = ring_graph(5)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        solver(g, _closed_diss(g, 0.5), Params(0.5, 1.0, 1.0), tol=tol)
 
 
 def test_brd_star_curve_shape():
