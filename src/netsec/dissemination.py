@@ -4,8 +4,10 @@ Each agent's document spreads over an independent random subgraph in which
 every edge survives with probability p.  The reach matrix holds, for each
 ordered pair (i, j), the probability that j ends up holding i's document;
 the expected-documents vector is its column sum.  Three routes compute the
-same quantities: exact enumeration over edge subsets (the ground-truth
-oracle), per-topology closed forms, and Monte Carlo.
+same quantities: exact counts of the edge subsets that join each pair (the
+ground-truth oracle, by a recursion over vertex subsets or by enumerating
+edge subsets, whichever is cheaper), per-topology closed forms, and Monte
+Carlo.
 """
 
 from __future__ import annotations
@@ -22,13 +24,24 @@ METHOD_EXACT = "exact"
 METHOD_CLOSED = "closed"
 METHOD_MC = "mc"
 
-# 2**edges subsets are enumerated; beyond this the walk is unreasonably slow.
+# Exact reach takes a recursion over vertex subsets (about 3**n steps) or
+# enumerates all 2**m edge subsets, whichever is cheaper.  With at most 12
+# agents a graph has at most 66 edges, and C(66, 33) < 2**63 keeps every
+# recursion count exact in int64.  Enumeration doubles with each edge and
+# takes about 8 s at 22.
+MAX_EXACT_AGENTS = 12
 MAX_EXACT_EDGES = 22
 
 _MC_CHUNK = 50_000
 # Masks labelled per enumeration step; larger chunks buy little speed for
 # megabytes of peak memory.
 _ENUM_CHUNK = 2048
+# (S, T) pairs summed per recursion step; bounds the gathered counts at
+# _PAIR_CHUNK rows of at most 67 int64 values (66 edges).
+_PAIR_CHUNK = 1 << 15
+# Rows of complete-graph recursion weights built at once: a few array ops
+# per block instead of per row, with memory linear in n.
+_ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -107,21 +120,44 @@ def _component_labels(present: np.ndarray, edges, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Exact enumeration over edge subsets
+# Exact reach: edge subsets that join each pair, counted by size
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _subset_counts(edges: tuple[tuple[int, int], ...], n: int):
-    """Connectivity counts over all 2**m edge subsets, binned by subset size.
+def _exact_counter(n: int, m: int):
+    """The cheaper exact counting route for n agents and m edges.
 
-    Returns pair_counts, where pair_counts[i, j, k] is the number of k-edge
-    subsets in which i and j are connected.  The counts are independent of
-    p, so one walk serves every p value.
+    The recursion over vertex subsets takes about 3**n steps and enumeration
+    2**m.  A graph with more than MAX_EXACT_AGENTS agents and more than
+    MAX_EXACT_EDGES edges fits neither: ValueError.
     """
+    if n > MAX_EXACT_AGENTS and m > MAX_EXACT_EDGES:
+        raise ValueError(
+            f"exact dissemination supports at most {MAX_EXACT_AGENTS} agents or at "
+            f"most {MAX_EXACT_EDGES} edges, got {n} agents and {m} edges; "
+            "use the closed form or Monte Carlo"
+        )
+    return _vertex_subset_counts if 3**n <= 2**m else _edge_subset_counts
+
+
+@lru_cache(maxsize=32)
+def _subset_counts(count, edges: tuple[tuple[int, int], ...], n: int) -> np.ndarray:
+    """Read-only pair_counts from the route `count`, cached by graph.
+
+    pair_counts[i, j, k] is the number of k-edge subsets in which i and j
+    are connected, zero on the diagonal, in int64.  The counts are
+    independent of p, so one count serves every p value.
+    """
+    pair_counts = count(edges, n)
+    pair_counts.flags.writeable = False
+    return pair_counts
+
+
+def _edge_subset_counts(edges, n: int) -> np.ndarray:
+    """pair_counts by labelling all 2**m edge subsets, _ENUM_CHUNK at a time."""
     m = len(edges)
     iu, ju = np.triu_indices(n, 1)
     npairs = iu.size
-    pair_bins = np.zeros((m + 1) * npairs)
+    pair_bins = np.zeros((m + 1) * npairs, dtype=np.int64)
     bits = np.arange(m)
     for start in range(0, 1 << m, _ENUM_CHUNK):
         masks = np.arange(start, min(start + _ENUM_CHUNK, 1 << m))
@@ -131,11 +167,93 @@ def _subset_counts(edges: tuple[tuple[int, int], ...], n: int):
         joined = labels[:, iu] == labels[:, ju]
         slot = k[:, None] * npairs + np.arange(npairs)
         pair_bins += np.bincount(slot[joined], minlength=pair_bins.size)
-    pair_counts = np.zeros((n, n, m + 1))
+    pair_counts = np.zeros((n, n, m + 1), dtype=np.int64)
     pair_counts[iu, ju] = pair_bins.reshape(m + 1, npairs).T
     pair_counts += np.transpose(pair_counts, (1, 0, 2))
-    pair_counts.flags.writeable = False
     return pair_counts
+
+
+def _vertex_subset_counts(edges, n: int) -> np.ndarray:
+    """pair_counts by a recursion over vertex subsets, in exact int64.
+
+    A row of counts by subset size is a polynomial in x.  For a vertex set
+    S with e(S) edges inside it, C_S counts the edge subsets of the graph
+    induced on S that connect all of S.  Sorting the (1+x)**e(S) edge
+    subsets of S by the component T of S's lowest agent gives
+    C_S = (1+x)**e(S) - sum over T, a proper subset of S holding that
+    agent, of C_T (1+x)**e(S - T) (Gilbert, Ann. Math. Statist. 1959).  The
+    subsets of the whole graph in which S is a component number
+    C_S (1+x)**e(V - S), and pair (i, j) sums them over every S holding
+    both.  Every term is nonnegative and part of a count no larger than
+    C(m, k), so nothing overflows.  Sets are bitmasks; S is handled by
+    size, about 3**n / 2 pairs (S, T) in all.
+    """
+    m = len(edges)
+    sets = np.arange(1 << n)
+    member = (sets[:, None] >> np.arange(n)) & 1
+    size = member.sum(axis=1)
+    edge_sets = np.array([(1 << u) | (1 << v) for u, v in edges])
+    inner = ((sets[:, None] & edge_sets) == edge_sets).sum(axis=1)  # e(S)
+    binomial = np.zeros((m + 1, m + 1), dtype=np.int64)  # row d: (1+x)**d
+    binomial[0, 0] = 1
+    for d in range(m):
+        binomial[d + 1] = _times_one_plus_x(binomial[d])
+    conn = np.zeros((1 << n, m + 1), dtype=np.int64)
+    conn[1 << np.arange(n), 0] = 1
+    for s in range(2, n + 1):
+        layer = sets[size == s]
+        # Each S's agents above its lowest, and the 2**(s-1) - 1 nonempty
+        # picks among them of the part S - T left out of T.
+        above = np.nonzero(member[layer])[1].reshape(layer.size, s)[:, 1:]
+        picks = (np.arange(1, 1 << (s - 1))[:, None] >> np.arange(s - 1)) & 1
+        width = inner[layer].max() + 1  # no count in this layer has higher degree
+        rows = max(1, _PAIR_CHUNK // len(picks))
+        for lo in range(0, layer.size, rows):
+            whole = layer[lo : lo + rows]
+            left_out = (1 << above[lo : lo + rows]) @ picks.T
+            split = _sum_times_binomial(
+                conn[:, :width], whole[:, None] ^ left_out, inner[left_out]
+            )
+            conn[whole, :width] = binomial[inner[whole], :width] - split
+    outside = inner[sets[-1] ^ sets]
+    spread = conn.copy()
+    for d in range(outside.max()):
+        grow = outside > d
+        spread[grow] = _times_one_plus_x(spread[grow])
+    pair_counts = np.zeros((n, n, m + 1), dtype=np.int64)
+    for i in range(n):
+        holds = member[:, i] == 1
+        pair_counts[i] = member[holds].T @ spread[holds]
+        pair_counts[i, i] = 0
+    return pair_counts
+
+
+def _times_one_plus_x(poly: np.ndarray) -> np.ndarray:
+    """Each row times (1 + x); the top coefficient must be zero."""
+    out = poly.copy()
+    out[..., 1:] += poly[..., :-1]
+    return out
+
+
+def _sum_times_binomial(polys: np.ndarray, index: np.ndarray, power: np.ndarray) -> np.ndarray:
+    """Row r: the sum over c of polys[index[r, c]] * (1+x)**power[r, c].
+
+    Terms sharing a row and a power are added first; Horner's rule in
+    (1 + x) then takes one shifted add per power.  Powers must stay below
+    the polynomial width, and the products must fit in it.
+    """
+    rows, width = index.shape[0], polys.shape[1]
+    key = (np.arange(rows)[:, None] * width + power).ravel()
+    order = np.argsort(key)
+    key = key[order]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    by_power = np.zeros((rows * width, width), dtype=np.int64)
+    by_power[key[first]] = np.add.reduceat(polys[index.ravel()[order]], first)
+    by_power = by_power.reshape(rows, width, width)
+    total = by_power[:, -1]
+    for d in range(width - 2, -1, -1):
+        total = _times_one_plus_x(total) + by_power[:, d]
+    return total
 
 
 def _subset_weights(m: int, p: float) -> np.ndarray:
@@ -144,21 +262,19 @@ def _subset_weights(m: int, p: float) -> np.ndarray:
 
 
 def reach_exact(g: Graph, p: float) -> Dissemination:
-    """Exact reach matrix by enumerating all 2**m edge subsets.
+    """Exact reach matrix from the edge subsets that join each pair.
 
     Each subset of size k carries weight p**k (1-p)**(m-k); an ordered
-    pair accumulates the weight of every subset connecting it.  This is
+    pair accumulates the weight of every subset connecting it.  The
+    subsets are counted by a recursion over vertex subsets or by
+    enumerating all 2**m of them, whichever is cheaper; a graph needs at
+    most MAX_EXACT_AGENTS agents or at most MAX_EXACT_EDGES edges.  This is
     the ground-truth oracle the other methods are checked against.
     """
     _check_p(p)
-    m = g.edge_count
-    if m > MAX_EXACT_EDGES:
-        raise ValueError(
-            f"exact enumeration supports at most {MAX_EXACT_EDGES} edges, "
-            f"got {m}; use the closed form or Monte Carlo"
-        )
-    pair_counts = _subset_counts(g.edges, g.n)
-    reach = pair_counts @ _subset_weights(m, p)
+    count = _exact_counter(g.n, g.edge_count)  # before listing a large graph's edges
+    pair_counts = _subset_counts(count, g.edges, g.n)
+    reach = pair_counts @ _subset_weights(g.edge_count, p)
     np.fill_diagonal(reach, 1.0)
     return Dissemination(reach, reach.sum(axis=0), METHOD_EXACT)
 
@@ -167,52 +283,63 @@ def reach_exact(g: Graph, p: float) -> Dissemination:
 # Closed forms
 # ---------------------------------------------------------------------------
 
-def _binomial_weights(log_fact, a, b, base: float, exp) -> np.ndarray:
-    """C(a, b) * base**exp over index arrays b and exp, from a log-factorial
-    table so that large a cannot overflow."""
-    log_comb = log_fact[a] - log_fact[b] - log_fact[a - b]
-    if base == 0.0:
-        return np.where(exp == 0, np.exp(log_comb), 0.0)
-    return np.exp(log_comb + exp * math.log(base))
+def _complete_tables(k: int, p: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """(q, pair_weights) for reach on a complete graph of k agents.
 
+    q[s], s = 1..k, is the probability that one document reaches all of
+    K_s.  Removing an agent from a connected K_s leaves blocks that each
+    touch it and share no edge; the block of size j holding the lowest other
+    agent gives Q_s = sum_j C(s-2, j-1) (1-p)^(j(s-1-j)) Q_j (1 - (1-p)^j)
+    Q_(s-j), Q_(s-j) covering the other blocks with the removed agent.  No
+    term is subtracted, so small p loses no digits to cancellation.
 
-def _log_factorials(k: int) -> np.ndarray:
-    return np.array([math.lgamma(i + 1.0) for i in range(k + 1)])
-
-
-def _all_reach_table(k: int, p: float, log_fact: np.ndarray) -> np.ndarray:
-    """Q[1..k]: probability one document reaches all of a complete graph.
-
-    Removing an agent from a connected K_s leaves blocks that each touch it
-    and share no edge; the block of size j holding the lowest other agent
-    gives Q_s = sum_j C(s-2, j-1) (1-p)^(j(s-1-j)) Q_j (1 - (1-p)^j) Q_(s-j),
-    Q_(s-j) covering the other blocks with the removed agent.  No term is
-    subtracted, so small p loses no digits to cancellation.  Each row is one
-    dot product; log_fact holds log i! for i = 0..k.
+    pair_weights[b] = C(k-2, b) (1-p)^((b+2)(k-2-b)) weighs q[b+2] in the
+    reach between two agents (None for k = 1).  It shares row k's
+    binomials, so it is built as one more row after it.  The weights come
+    from log-factorials, so large k cannot overflow, _ROW_BLOCK rows at a
+    time; each row of the recursion then costs a slice and a dot product.
     """
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(k + 1)])
     q = np.zeros(k + 1)
     q[1] = 1.0
     if k >= 2:
         q[2] = p  # single edge must survive
+    # q reversed, so that q[s-1], ..., q[1] is a forward slice: a reversed
+    # view would take numpy's own dot loop instead of BLAS, and round otherwise.
+    backward = q[::-1].copy()
     one_minus = 1.0 - p
     hit = 1.0 - one_minus ** np.arange(k + 1)
-    for s in range(3, k + 1):
-        j = np.arange(1, s)
-        weights = _binomial_weights(log_fact, s - 2, j - 1, one_minus, j * (s - 1 - j))
-        q[s] = (weights * q[j] * hit[j]) @ q[s - j]
-    return q
+    for first in range(3, k + 2, _ROW_BLOCK):
+        last = min(first + _ROW_BLOCK, k + 2) - 1  # row k + 1 holds the pair weights
+        a = np.arange(first - 2, last - 1)[:, None]  # s - 2
+        if last > k:
+            a[-1] = k - 2  # the pair weights share row k's binomials
+        b = np.arange(a[-1, 0] + 1)  # j - 1
+        rest = np.maximum(a - b, 0)  # s-1-j, clipped past the row's end, which no slice reads
+        exponent = (b + 1) * rest
+        if last > k:
+            exponent[-1] += rest[-1]
+        log_comb = log_fact[a] - log_fact[b] - log_fact[rest]
+        if one_minus == 0.0:
+            weights = np.where(exponent == 0, np.exp(log_comb), 0.0)
+        else:
+            weights = np.exp(log_comb + exponent * math.log(one_minus))
+        for s, row in zip(range(first, min(last, k) + 1), weights):
+            terms = row[: s - 1] * q[1:s] * hit[1:s]
+            q[s] = backward[k - s] = terms.dot(backward[k - s + 1 : k])
+    return q, (weights[-1] if k >= 2 else None)
 
 
 def complete_connected_probability(k: int, p: float) -> float:
     """Probability a document reaches every agent of a complete graph on k nodes.
 
     Equals the probability that the Bernoulli-thinned K_k stays connected;
-    see `_all_reach_table` for the all-positive recursion.
+    see `_complete_tables` for the all-positive recursion.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _check_p(p)
-    return float(_all_reach_table(k, p, _log_factorials(k))[k])
+    return float(_complete_tables(k, p)[0][k])
 
 
 def complete_pair_reach(n: int, p: float) -> float:
@@ -224,10 +351,8 @@ def complete_pair_reach(n: int, p: float) -> float:
         return p
     if n == 3:
         return p + p**2 - p**3
-    log_fact = _log_factorials(n)
-    k = np.arange(2, n + 1)
-    weights = _binomial_weights(log_fact, n - 2, k - 2, 1.0 - p, k * (n - k))
-    return min(1.0, float(weights @ _all_reach_table(n, p, log_fact)[k]))
+    q, pair_weights = _complete_tables(n, p)
+    return min(1.0, float(pair_weights.dot(q[2:])))
 
 
 def complete_pair_bounds(n: int, p: float) -> tuple[float, float]:

@@ -64,7 +64,7 @@ def criterion(number, description):
     return decorate
 
 
-@criterion(1, "closed forms match 2^|E| enumeration (1e-10); K2/K3 values exact")
+@criterion(1, "closed forms match exact edge-subset counts (1e-10); K2/K3 values exact")
 def test_criterion_1_dissemination_oracle_equivalence():
     start = time.perf_counter()
     cases = (

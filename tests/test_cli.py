@@ -248,6 +248,19 @@ def test_edges_file_input(capsys, tmp_path):
     assert p01 == pytest.approx(0.3 + 0.09 - 0.027, abs=1e-12)
 
 
+def test_exact_past_both_bounds_exits_2(capsys, tmp_path):
+    # 13 agents and 23 edges: too many agents for the vertex-subset
+    # recursion and too many edges to enumerate.
+    edges = [(i, (i + 1) % 13) for i in range(13)] + [(i, i + 2) for i in range(10)]
+    edge_file = tmp_path / "g.txt"
+    edge_file.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    code, out, err = run_cli(capsys, "disseminate", "--edges", str(edge_file), "--p", "0.5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("netsec: ") and err.count("\n") == 1
+    assert "at most 12 agents or at most 22 edges, got 13 agents and 23 edges" in err
+
+
 def test_invalid_grid_exits_2(capsys):
     code, _, err = run_cli(
         capsys, "sweep-documents", "--n", "5", "--p-grid", "0:2:11",

@@ -1,9 +1,14 @@
 import itertools
+import random
+import time
 
 import numpy as np
 import pytest
 
+import netsec.dissemination as diss_mod
 from netsec.dissemination import (
+    MAX_EXACT_AGENTS,
+    MAX_EXACT_EDGES,
     Params,
     _component_labels,
     _p_for_mean_docs,
@@ -49,6 +54,61 @@ def brute_force_pair_probability(g, p, i, j):
         if j in seen:
             total += p**bits * (1 - p) ** (m - bits)
     return total
+
+
+def random_connected_edges(rng, n, m):
+    """m distinct edges on agents 0..n-1 that contain a random spanning tree."""
+    order = list(range(n))
+    rng.shuffle(order)
+    tree = {tuple(sorted((order[k], rng.choice(order[:k])))) for k in range(1, n)}
+    others = [e for e in itertools.combinations(range(n), 2) if e not in tree]
+    return tuple(sorted(tree | set(rng.sample(others, m - len(tree)))))
+
+
+def edge_list_graph(edges):
+    return load_edge_list("".join(f"{u} {v}\n" for u, v in edges))
+
+
+def closure_reach(n, edges, p):
+    """Exact reach by Boolean transitive closure of all 2**m edge subsets at once.
+
+    joined[u][v] is a bitset over edge subsets: bit t of byte b stands for
+    subset 8b + t, so the three lowest edges vary inside a byte and the
+    others pick the byte.  Warshall's closure joins u and v through each w
+    in turn.  A subset of k edges weighs p**k (1-p)**(m-k).
+    """
+    m = len(edges)
+    slot = np.arange(8)
+    blocks = 1 << (m - 3)
+    empty = np.zeros(blocks, dtype=np.uint8)
+    joined = [[empty] * n for _ in range(n)]
+    for e, (u, v) in enumerate(edges):
+        if e < 3:
+            bits = np.full(blocks, ((slot >> e & 1) << slot).sum(), dtype=np.uint8)
+        else:
+            run = np.repeat(np.array([0, 255], dtype=np.uint8), 1 << (e - 3))
+            bits = np.tile(run, 1 << (m - 1 - e))
+        joined[u][v] = joined[v][u] = bits
+    for w in range(n):
+        for u in range(n):
+            for v in range(u + 1, n):
+                if w not in (u, v):
+                    joined[u][v] = joined[v][u] = joined[u][v] | (joined[u][w] & joined[w][v])
+    block_size = np.zeros(1, dtype=np.int64)
+    for _ in range(m - 3):
+        block_size = np.concatenate([block_size, block_size + 1])
+    slot_size = (slot & 1) + (slot >> 1 & 1) + (slot >> 2)
+    slot_weight = p**slot_size * (1 - p) ** (3 - slot_size)
+    byte_weight = (np.arange(256)[:, None] >> slot & 1) @ slot_weight
+    sizes = np.arange(m - 2)
+    size_weight = p**sizes * (1 - p) ** (m - 3 - sizes)
+    reach = np.eye(n)
+    for u, v in itertools.combinations(range(n), 2):
+        # Blocks counted by byte value and size, in exact integers.
+        key = joined[u][v].astype(np.int64) * (m - 2) + block_size
+        tally = np.bincount(key, minlength=256 * (m - 2)).reshape(256, m - 2)
+        reach[u, v] = reach[v, u] = byte_weight @ tally @ size_weight
+    return reach
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +166,10 @@ def test_exact_agrees_with_brute_force_oracle():
 def test_exact_invariant_to_enumeration_chunk(monkeypatch):
     # 2**11 masks in chunks of 100 span 21 chunks, the last one short; the
     # counts must equal those of a single-chunk walk.
-    import netsec.dissemination as diss_mod
-
     g = load_edge_list("0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n6 0\n0 3\n1 5\n2 6\n3 5")
     assert g.edge_count >= 10
+    # 3**7 > 2**11, so this graph is enumerated.
+    assert diss_mod._exact_counter(g.n, g.edge_count) is diss_mod._edge_subset_counts
     results = {}
     for chunk in (1 << g.edge_count, 100):
         monkeypatch.setattr(diss_mod, "_ENUM_CHUNK", chunk)
@@ -124,9 +184,57 @@ def test_exact_invariant_to_enumeration_chunk(monkeypatch):
         )
 
 
+def _route_cases():
+    """(n, m) pairs on each side of the route boundary 3**n <= 2**m and at
+    it, and random sizes up to 12 edges.  Enumeration doubles with each
+    edge (about 0.2 s at 17), so larger m is left to the closure test."""
+    rng = random.Random(2024)
+    cases = [(9, 17)]
+    for n in range(2, 11):
+        boundary = next(m for m in range(60) if 3**n <= 2**m)
+        cases += [(n, m) for m in (boundary - 1, boundary) if n - 1 <= m <= n * (n - 1) // 2]
+    while len(cases) < 200:
+        n = rng.randint(2, 10)
+        cases.append((n, rng.randint(n - 1, min(n * (n - 1) // 2, 12))))
+    return [(n, random_connected_edges(rng, n, m)) for n, m in cases]
+
+
+def test_vertex_recursion_equals_edge_enumeration():
+    cases = _route_cases()
+    routes = {diss_mod._exact_counter(n, len(edges)) for n, edges in cases}
+    assert routes == {diss_mod._vertex_subset_counts, diss_mod._edge_subset_counts}
+    for n, edges in cases:
+        recursion = diss_mod._vertex_subset_counts(edges, n)
+        assert recursion.dtype == np.int64
+        assert np.array_equal(recursion, diss_mod._edge_subset_counts(edges, n)), (n, edges)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+@pytest.mark.parametrize("p", [0.001, 0.3, 0.9])
+def test_exact_complete_graph_matches_closed_form(n, p):
+    reach = reach_exact(complete_graph(n), p).reach
+    off = ~np.eye(n, dtype=bool)
+    assert np.allclose(reach[off], complete_pair_reach(n, p), rtol=1e-12, atol=0.0)
+
+
+def test_exact_nine_agents_twenty_two_edges_matches_closure():
+    edges = random_connected_edges(random.Random(9), 9, 22)
+    g = edge_list_graph(edges)
+    diss_mod._subset_counts.cache_clear()
+    start = time.perf_counter()
+    reach_exact(g, 0.3)
+    assert time.perf_counter() - start < 0.5
+    for p in (0.3, 0.8):
+        reach = reach_exact(g, p).reach
+        assert np.allclose(reach, closure_reach(9, edges, p), rtol=1e-12, atol=0.0)
+
+
 def test_exact_rejects_large_graphs():
-    with pytest.raises(ValueError, match="at most"):
-        reach_exact(complete_graph(8), 0.5)  # 28 edges
+    # 13 agents on a ring with 10 chords: 23 edges, past both exact bounds.
+    g = edge_list_graph([(i, (i + 1) % 13) for i in range(13)] + [(i, i + 2) for i in range(10)])
+    assert g.n > MAX_EXACT_AGENTS and g.edge_count > MAX_EXACT_EDGES
+    with pytest.raises(ValueError, match="at most 12 agents or at most 22 edges"):
+        reach_exact(g, 0.5)
 
 
 def test_exact_matrix_properties():
