@@ -37,6 +37,10 @@ MAX_AGENTS = 1000
 # A p grid finer than steps of 1e-4 over [0, 1] is refused before allocating.
 MAX_GRID_STEPS = 10_001
 
+# Stacked reach matrices of the sweep points solved together: all 101
+# points of a small graph, but only two 8 MB matrices at 1000 agents.
+_SWEEP_BLOCK_BYTES = 1 << 24
+
 
 def _fmt(x: float) -> str:
     """12 significant digits, the fixed CSV number format."""
@@ -205,11 +209,37 @@ def _cmd_equilibrium(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _regime_profiles(g: Graph, p: float, args):
-    """Investments under each of game.REGIMES, in order, at one grid point."""
-    params = Params(p, args.alpha, args.omega)
-    diss = _resolve_dissemination(g, p, args)
-    return [_equilibrium_q(g, diss, params, r, False) for r in game.REGIMES]
+def _regime_profiles(g: Graph, grid, args):
+    """Investments under each of game.REGIMES, in order, at every grid point
+    of a star or custom graph.
+
+    Points are solved in grid order, in blocks whose stacked reach matrices
+    fit in _SWEEP_BLOCK_BYTES; each block's strategic equilibria come from
+    one stacked best-response call.  A solver failure names its p, and it
+    is the failure a point-by-point sweep would have met first.
+    """
+    block = max(1, _SWEEP_BLOCK_BYTES // (8 * g.n * g.n))
+    profiles = []
+    for first in range(0, len(grid), block):
+        points = grid[first : first + block]
+        params = [Params(p, args.alpha, args.omega) for p in points]
+        disses = [_resolve_dissemination(g, p, args) for p in points]
+        try:
+            nash, failed = game.best_response_dynamics(g, disses, params), None
+        except NonConvergenceError as exc:
+            nash, failed = None, exc
+        for k, (p, diss) in enumerate(zip(points, disses)):
+            q_nr = game.nash_random(g.n, args.alpha)
+            q_or = game.social_optimum_random(diss.expected_docs, args.alpha)
+            try:
+                if failed is not None and k == failed.index:
+                    raise failed
+                q_os = game.social_optimum_numeric(g, diss, params[k]).q
+            except NonConvergenceError as exc:
+                raise NonConvergenceError(f"at p = {_fmt(p)}: {exc}") from exc
+            if nash is not None:  # else point failed.index raises above
+                profiles.append([q_nr, q_or, nash[k].q, q_os])
+    return profiles
 
 
 def _cmd_sweep_investments(args) -> str:
@@ -227,15 +257,13 @@ def _cmd_sweep_investments(args) -> str:
             q_ns = game.nash_strategic_vt(d, n, args.alpha, args.omega)[0]
             return [p, q_nr, q_or, q_ns, q_or]
 
+        rows = [row(p) for p in grid]
     else:
         header = ["p"]
         for tag in ("q_NR", "q_OR", "q_NS", "q_OS"):
             header.extend(f"{tag}_{i}" for i in range(n))
-
-        def row(p):
-            return [p, *np.concatenate(_regime_profiles(g, p, args))]
-
-    rows = [row(p) for p in grid]
+        profiles = _regime_profiles(g, grid, args)
+        rows = [[p, *np.concatenate(profile)] for p, profile in zip(grid, profiles)]
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in vals) for vals in rows)
     series = {
@@ -279,7 +307,7 @@ def _cmd_crossover(args) -> str:
         metrics = [("strengthen_from", lo), ("strengthen_to", hi)]
     elif g.topology == STAR:
         grid = _parse_grid(args.p_grid)
-        profiles = [_regime_profiles(g, p, args) for p in grid]
+        profiles = _regime_profiles(g, grid, args)
         for label, idx in (("center", 0), ("leaf", 1)):
             gaps = np.array([q_ns[idx] - q_os[idx] for _, _, q_ns, q_os in profiles])
             found = False

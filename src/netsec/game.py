@@ -8,13 +8,15 @@ networks); general graphs are handled by best-response dynamics and
 projected Newton ascent on welfare.  An agent's reward is piecewise
 quadratic in its own investment, one piece per attacker active set, with
 upward kinks between pieces: best responses walk those pieces exactly,
-and a pure strategic equilibrium need not exist.  Both solvers check their
-inputs once on entry; welfare and rewards come from the unchecked
-water-fill kernel `_water_fill`.
+and a pure strategic equilibrium need not exist.  Best-response dynamics
+also takes a stack of points, such as a p grid, and sweeps them together.
+Both solvers check their inputs once on entry; welfare and rewards come
+from the unchecked water-fill kernel `_water_fill`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,14 +55,15 @@ class NonConvergenceError(RuntimeError):
     """An iterative solver ran out of iterations.
 
     Carries the last iterate and its residual so callers can inspect or
-    restart.
+    restart, and, from a stacked solve, the failing point's index.
     """
 
-    def __init__(self, message, last_q=None, residual=None, iterations=None):
+    def __init__(self, message, last_q=None, residual=None, iterations=None, index=None):
         super().__init__(message)
         self.last_q = last_q
         self.residual = residual
         self.iterations = iterations
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -186,12 +189,26 @@ def nash_strategic_vt(
 # Iterative solvers
 # ---------------------------------------------------------------------------
 
-def _best_response(i, q, docs, reach, alpha, omega):
-    """Agent i's exact global best response q_i in [0, 1] to the others' q.
+def _walk_constants(rows, n):
+    """Arrays the best-response walk reuses for up to `rows` stacked rows
+    of n agents: each row's flat offset, the region index m (attacked
+    others), k = m + 1 and its negation, k over the entry bounds, and
+    max(m, 1)."""
+    m = np.arange(n)
+    k = m + 1.0
+    return np.arange(0, rows * n, n)[:, None], m, k, -k, k[:-1], np.maximum(m, 1)
 
-    The reward is continuous and piecewise quadratic in q_i, one piece per
-    attacker active set, with upward kinks where the set changes.  Write
-    y = 1 - q_i.  While agent i is attacked, the water level is
+
+def _best_response(i, q, docs, reach_i, alpha, omega, walk):
+    """Agent i's exact global best response q_i in [0, 1] to the others' q,
+    for each row of a stack.
+
+    q and docs are (B, n) and reach_i holds agent i's reach row of each
+    point (B, n); the points share alpha and omega.  Returns (B,).
+    `walk` is `_walk_constants(B', n)` for some B' >= B, built once per
+    solve.  The reward is continuous and piecewise quadratic in q_i, one
+    piece per attacker active set, with upward kinks where the set changes.
+    Write y = 1 - q_i.  While agent i is attacked, the water level is
     lam = lam0 - y docs_i / k with k attacked agents, so as q_i rises the
     others join the active set as a growing prefix of their values
     v_j = (1 - q_j) docs_j sorted descending, and agent i's own level
@@ -202,39 +219,47 @@ def _best_response(i, q, docs, reach, alpha, omega):
     attacked only its own cost moves, so an agent not attacked at q_i = 0
     best-responds with 0.  No water-fill is called.
     """
-    n = q.size
-    others = np.arange(n) != i
-    v = ((1.0 - q) * docs)[others]
-    order = (-v).argsort(kind="stable")
-    s = v[order]
-    w = ((1.0 - q) * reach[i])[others][order]
-    d, r = docs[i], reach[i, i]
-    m = np.arange(n)  # attacked others in region m
-    k = m + 1.0
-    lam0 = (omega - np.concatenate(([0.0], s.cumsum()))) / k
-    weight = np.concatenate(([0.0], w.cumsum()))
-    held = np.concatenate(([0.0], (s * w).cumsum()))
+    rows, n = q.shape
+    offsets, m, k, neg_k, k_enter, m_floor = walk
+    offsets = offsets[:rows]
+    y_all = 1.0 - q
+    v = y_all * docs
+    w = y_all * reach_i
+    key = -v
+    key[:, i] = -np.inf  # agent i sorts first, as a zero, so each prefix
+    v[:, i] = 0.0  # sum starts from 0 over the others sorted descending
+    w[:, i] = 0.0
+    order = key.argsort(axis=1, kind="stable")
+    order += offsets
+    s = v.take(order)
+    w = w.take(order)
+    d, r = docs[:, i, None], reach_i[:, i, None]
+    # Prefix sums by np.add.accumulate, which skips the per-call wrapper
+    # cost of the cumsum method on these small rows.
+    lam0 = (omega - np.add.accumulate(s, axis=1)) / k
+    weight = np.add.accumulate(w, axis=1)
     # Region m spans y in [y_lo, y_hi]: the next other enters at the
     # bottom unless agent i leaves first (never when alone, m = 0, where
     # the bound comes out negative).
-    enter = np.append(k[:-1] * (s + lam0[:-1]) / d, -np.inf)
-    leave = -k * lam0 / (d * np.maximum(m, 1))
-    y_hi = np.minimum(np.concatenate(([np.inf], enter[:-1])), 1.0)
-    y_lo = np.maximum(np.maximum(enter, leave), 0.0)
-    valid = np.flatnonzero(y_lo <= y_hi)
-    if valid.size == 0:
-        return 0.0
+    enter = np.full((rows, n), -np.inf)
+    enter[:, :-1] = k_enter * (s[:, 1:] + lam0[:, :-1]) / d
+    y_hi = np.ones((rows, n))
+    np.minimum(enter[:, :-1], 1.0, out=y_hi[:, 1:])
+    y_lo = np.maximum(np.maximum(enter, neg_k * lam0 / (d * m_floor)), 0.0)
     # reward - 1 = -(held + weight lam0) / omega - lin y - quad y^2
     #              - alpha (1 - y)^2 / 2 within region m.
     lin = (r * lam0 - weight * d / k) / omega
     quad = r * d * m / (k * omega)
-    y = np.clip((alpha - lin) / (alpha + 2.0 * quad), y_lo, y_hi)[valid]
+    # An empty region (y_lo > y_hi) clips to y_hi; for region 0 that is
+    # y = 1, the answer q_i = 0 when every region is empty.
+    y = np.minimum(np.maximum((alpha - lin) / (alpha + 2.0 * quad), y_lo), y_hi)
     reward = (
-        -(held + weight * lam0)[valid] / omega
-        - (lin[valid] + quad[valid] * y) * y
+        -(np.add.accumulate(s * w, axis=1) + weight * lam0) / omega
+        - (lin + quad * y) * y
         - 0.5 * alpha * (1.0 - y) ** 2
     )
-    return 1.0 - float(y[reward.argmax()])
+    reward[y_lo > y_hi] = -np.inf
+    return 1.0 - y.take(reward.argmax(axis=1) + offsets[:, 0])
 
 
 def _rewards(q, docs, reach, alpha, omega):
@@ -244,26 +269,36 @@ def _rewards(q, docs, reach, alpha, omega):
 
 
 def _nash_gap(q, docs, reach, alpha, omega):
-    """Largest reward an agent gains by deviating alone to its exact best
-    response, and that agent; zero, up to rounding, at a Nash equilibrium."""
-    base = _rewards(q, docs, reach, alpha, omega)
-    gains = np.empty(q.size)
-    for i in range(q.size):
-        deviation = q.copy()
-        deviation[i] = _best_response(i, q, docs, reach, alpha, omega)
-        gains[i] = _rewards(deviation, docs, reach, alpha, omega)[i] - base[i]
-    agent = int(gains.argmax())
-    return float(gains[agent]), agent
+    """Per row of a stack, the largest reward an agent gains by deviating
+    alone to its exact best response, and that agent; zero, up to rounding,
+    at a Nash equilibrium.
+
+    q and docs are (B, n) and reach is (B, n, n); the points share alpha
+    and omega.  Returns two (B,) arrays.
+    """
+    rows, n = q.shape
+    walk = _walk_constants(rows, n)
+    best = [_best_response(i, q, docs, reach[:, i], alpha, omega, walk) for i in range(n)]
+    gains = np.empty((rows, n))
+    for b in range(rows):
+        args = docs[b], reach[b], alpha, omega
+        base = _rewards(q[b], *args)
+        for i in range(n):
+            deviation = q[b].copy()
+            deviation[i] = best[i][b]
+            gains[b, i] = _rewards(deviation, *args)[i] - base[i]
+    agents = gains.argmax(axis=1)
+    return gains[np.arange(rows), agents], agents
 
 
 def best_response_dynamics(
     g: Graph,
-    diss: Dissemination,
-    params: Params,
+    diss: Dissemination | Sequence[Dissemination],
+    params: Params | Sequence[Params],
     q0=None,
     tol: float = 1e-8,
     max_iter: int = 500,
-) -> GameOutcome:
+) -> GameOutcome | list[GameOutcome]:
     """Cyclic exact best-response iteration for the strategic investment
     game, accelerated by extrapolation.
 
@@ -282,62 +317,113 @@ def best_response_dynamics(
     sweep starting without history from the profile an earlier one started
     from.  The first cycle only switches to plain sweeps; a second ends the
     iteration.
+
+    `diss` and `params` may instead be equal-length sequences, one entry
+    per point (a p grid, say), on the same graph, with the same alpha and
+    omega and from the same start q0; a ValueError says if they are not
+    equal in length or share no costs.  The points' GameOutcomes come
+    back as a list in input order.  Each sweep takes one stacked
+    best-response call per agent over the points still iterating, while
+    the extrapolation history, restarts, cycle detection and certificate
+    stay per point, so every point gets the bytes a call with it alone
+    would.  If any point fails, the NonConvergenceError raised is the one
+    the lowest failing point raises alone, with that point's position as
+    `index` (None when a single point was given); points above a failed
+    one stop early.  The solve copies the points' n x n reach matrices
+    into one array, 8 n^2 bytes a point on top of the inputs, so callers
+    bound the number of points: the CLI sweeps pass blocks of 16 MB.
     """
+    single = isinstance(diss, Dissemination)
+    disses, points = ([diss], [params]) if single else (list(diss), list(params))
     if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if g.n != diss.n:
+    if not disses or len(disses) != len(points):
+        raise ValueError("needs as many parameter sets as disseminations, at least one")
+    if any(d.n != g.n for d in disses):
         raise ValueError("graph and dissemination disagree on the number of agents")
-    docs = np.asarray(diss.expected_docs, dtype=float)
-    reach = diss.reach
-    alpha, omega = params.alpha, params.omega
-    n = g.n
-    x = np.full(n, 0.5) if q0 is None else _as_security(q0, n)
-    outputs, residuals = [], []
-    seen, reason, prev, accelerate = {}, None, np.inf, True
+    costs = {(p.alpha, p.omega) for p in points}
+    if len(costs) > 1:
+        raise ValueError("stacked points must share alpha and omega")
+    ((alpha, omega),) = costs
+    n, rows = g.n, len(disses)
+    docs = np.array([d.expected_docs for d in disses], dtype=float)
+
+    def stack(which):  # docs and reach of these points, one row each
+        return docs[which], np.array([disses[b].reach for b in which])
+
+    x = np.tile(np.full(n, 0.5) if q0 is None else _as_security(q0, n), (rows, 1))
+    last = np.empty((rows, n))
+    history = [([], []) for _ in range(rows)]  # per point: outputs, residuals
+    seen = [{} for _ in range(rows)]
+    reason, sweeps = [None] * rows, [max_iter] * rows
+    prev, delta = [np.inf] * rows, [0.0] * rows
+    accelerate = [True] * rows
+    live, lowest_failed = list(range(rows)), rows
+    stacked, walk = None, _walk_constants(rows, n)
     for sweep in range(1, max_iter + 1):
-        if not outputs:  # the profile alone fixes what follows
-            key = x.tobytes()
-            if key in seen:
-                if not accelerate:
-                    reason = f"sweep {sweep} repeats the profile of sweep {seen[key]}"
-                    break
-                accelerate, seen = False, {}  # plain sweeps from here on
-            seen[key] = sweep
-        q = x.copy()
-        for i in range(n):
-            q[i] = _best_response(i, q, docs, reach, alpha, omega)
-        delta = float(np.abs(q - x).max())
-        if delta <= tol:
+        for b in live:
+            if not history[b][0]:  # the profile alone fixes what follows
+                key = x[b].tobytes()
+                if key in seen[b]:
+                    if not accelerate[b]:
+                        reason[b] = f"sweep {sweep} repeats the profile of sweep {seen[b][key]}"
+                        sweeps[b], lowest_failed = sweep, min(lowest_failed, b)
+                        continue
+                    accelerate[b], seen[b] = False, {}  # plain sweeps from here on
+                seen[b][key] = sweep
+        live = [b for b in live if reason[b] is None and b < lowest_failed]
+        if not live:
             break
-        if delta >= prev or not accelerate:  # restart from the plain sweep
-            outputs.clear()
-            residuals.clear()
-            x, prev = q, np.inf
-            continue
-        outputs.append(q)
-        residuals.append(q - x)
-        del outputs[:-_ANDERSON_WINDOW], residuals[:-_ANDERSON_WINDOW]
-        x, prev = q, delta
-        if len(outputs) > 1:
-            d_res = np.diff(residuals, axis=0).T
-            gamma = np.linalg.lstsq(d_res, residuals[-1], rcond=None)[0]
-            x = np.clip(q - np.diff(outputs, axis=0).T @ gamma, 0.0, 1.0)
-    else:
-        reason = f"no convergence in {max_iter} sweeps (last sweep moved {delta:.3e})"
-    gain, agent = _nash_gap(q, docs, reach, alpha, omega)
-    if reason is None and gain <= tol:
-        return evaluate_outcome(diss, params, q, NASH_STRATEGIC)
-    if reason is None:
-        reason = f"sweep {sweep} settled on a profile that is no equilibrium"
-    raise NonConvergenceError(
-        f"best-response dynamics stopped: {reason}; "
-        f"agent {agent} gains {gain:.3e} by deviating alone",
-        last_q=q,
-        residual=gain,
-        iterations=sweep,
-    )
+        if stacked != live:  # restack only when points finish
+            sub_reach = None  # frees the old stack first
+            sub_docs, sub_reach = stack(live)
+            stacked = live
+        start = x[live]
+        q = start.copy()
+        for i in range(n):
+            q[:, i] = _best_response(i, q, sub_docs, sub_reach[:, i], alpha, omega, walk)
+        last[live] = q
+        for j, (b, moved) in enumerate(zip(live, np.abs(q - start).max(axis=1).tolist())):
+            outputs, residuals = history[b]
+            delta[b] = moved
+            if moved <= tol:
+                sweeps[b] = sweep
+                continue
+            if moved >= prev[b] or not accelerate[b]:  # restart from the plain sweep
+                outputs.clear()
+                residuals.clear()
+                x[b], prev[b] = q[j], np.inf
+                continue
+            outputs.append(q[j])
+            residuals.append(q[j] - start[j])
+            del outputs[:-_ANDERSON_WINDOW], residuals[:-_ANDERSON_WINDOW]
+            x[b], prev[b] = q[j], moved
+            if len(outputs) > 1:
+                d_res = np.diff(residuals, axis=0).T
+                gamma = np.linalg.lstsq(d_res, residuals[-1], rcond=None)[0]
+                x[b] = np.clip(q[j] - np.diff(outputs, axis=0).T @ gamma, 0.0, 1.0)
+        live = [b for b in live if delta[b] > tol]
+    for b in live:
+        reason[b] = f"no convergence in {max_iter} sweeps (last sweep moved {delta[b]:.3e})"
+    done = list(range(min(lowest_failed + 1, rows)))
+    sub_reach = None  # frees the sweep stack before the certificate builds its own
+    gains, agents = _nash_gap(last[done], *stack(done), alpha, omega)
+    for b in done:
+        if reason[b] is None and gains[b] > tol:
+            reason[b] = f"sweep {sweeps[b]} settled on a profile that is no equilibrium"
+        if reason[b] is not None:
+            raise NonConvergenceError(
+                f"best-response dynamics stopped: {reason[b]}; "
+                f"agent {agents[b]} gains {gains[b]:.3e} by deviating alone",
+                last_q=last[b].copy(),
+                residual=float(gains[b]),
+                iterations=sweeps[b],
+                index=None if single else b,
+            )
+    outcomes = [evaluate_outcome(d, p, q, NASH_STRATEGIC) for d, p, q in zip(disses, points, last)]
+    return outcomes[0] if single else outcomes
 
 
 def _welfare_and_gradient(q, docs, alpha, omega):

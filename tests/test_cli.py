@@ -428,6 +428,38 @@ def test_star_sweep_builds_one_dissemination_per_point(capsys, monkeypatch):
     assert calls == list(np.linspace(0.0, 1.0, 5))
 
 
+def test_star_sweep_in_blocks_matches_one_block(capsys, monkeypatch, tmp_path):
+    argv = ["sweep-investments", "--topology", "star", "--n", "5", "--p-grid", "0:1:21"]
+    one_block = run_cli(capsys, *argv, "--svg", str(tmp_path / "one.svg"))
+    stacks = []
+    real = game.best_response_dynamics
+
+    def counting(g, disses, params, **kwargs):
+        stacks.append(len(disses))
+        return real(g, disses, params, **kwargs)
+
+    monkeypatch.setattr(game, "best_response_dynamics", counting)
+    monkeypatch.setattr(cli, "_SWEEP_BLOCK_BYTES", 8 * 8 * 5 * 5)  # 8 points of 5 agents
+    blocks = run_cli(capsys, *argv, "--svg", str(tmp_path / "blocks.svg"))
+    assert stacks == [8, 8, 5]
+    assert one_block[0] == 0 and blocks == one_block
+    assert (tmp_path / "blocks.svg").read_bytes() == (tmp_path / "one.svg").read_bytes()
+
+
+def test_sweep_names_the_failing_point(capsys, tmp_path):
+    # No equilibrium is certified at p = 0.7, 0.8 or 0.9 on this graph; the
+    # lowest of them is reported, as a point-by-point sweep would.
+    path = tmp_path / "graph.txt"
+    path.write_text("0 1\n1 2\n2 3\n3 4\n1 4\n0 5\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "sweep-investments", "--edges", str(path), "--p-grid", "0:1:11",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("netsec: solver did not converge: at p = 0.7: ")
+    assert err.count("\n") == 1 and "gains" in err
+
+
 def test_number_formatting_12_digits(capsys):
     _, out, _ = run_cli(
         capsys, "disseminate", "--topology", "complete", "--n", "3", "--p", "0.123456789",

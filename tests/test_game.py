@@ -192,8 +192,19 @@ def test_brd_no_profitable_unilateral_deviation():
             q = out.q.copy()
             q[i] = trial
             assert reward(i, q) <= base + 1e-7
-    gap, _ = game._nash_gap(out.q, docs, reach, params.alpha, params.omega)
-    assert -1e-12 <= gap <= 1e-10
+    assert -1e-12 <= _nash_gap(out.q, diss) <= 1e-10
+
+
+def _best_response(i, q, docs, reach, alpha, omega):
+    """Agent i's best response at one point, as a one-row stack."""
+    walk = game._walk_constants(1, q.size)
+    return game._best_response(i, q[None], docs[None], reach[None, i], alpha, omega, walk)[0]
+
+
+def _nash_gap(q, diss):
+    """The Nash gap at one point with alpha = omega = 1, as a one-row stack."""
+    gains, _ = game._nash_gap(q[None], diss.expected_docs[None], diss.reach[None], 1.0, 1.0)
+    return gains[0]
 
 
 # Plain cyclic best-response sweeps cycle on both (periods of 12 and 8
@@ -230,7 +241,7 @@ def test_best_response_matches_grid_oracle():
             for _ in range(40):
                 q = rng.random(6)
                 i = int(rng.integers(6))
-                x = game._best_response(i, q, docs, reach, alpha, omega)
+                x = _best_response(i, q, docs, reach, alpha, omega)
                 assert 0.0 <= x <= 1.0
                 best = _grid_rewards(i, q, docs, reach, alpha, omega, grid).max()
                 at_x = _grid_rewards(i, q, docs, reach, alpha, omega, np.array([x]))[0]
@@ -295,6 +306,11 @@ def test_brd_sweep_budget(monkeypatch):
     g = star_graph(20)
     best_response_dynamics(g, _closed_diss(g, 0.9), Params(0.9, 1.0, 1.0))
     assert len(calls) <= 30 * g.n
+    # A stack of points shares each call, so the budget holds for it too.
+    calls.clear()
+    ps = (0.5, 0.7, 0.9)
+    best_response_dynamics(g, [_closed_diss(g, p) for p in ps], [Params(p) for p in ps])
+    assert len(calls) <= 30 * g.n
 
 
 def _star_oracle(n, p):
@@ -318,12 +334,12 @@ def _star_oracle(n, p):
 
     def leaf_level(centre):
         return fixed_point(
-            lambda leaf: game._best_response(1, profile(centre, leaf), docs, reach, 1.0, 1.0)
+            lambda leaf: _best_response(1, profile(centre, leaf), docs, reach, 1.0, 1.0)
             - leaf
         )
 
     centre = fixed_point(
-        lambda c: game._best_response(0, profile(c, leaf_level(c)), docs, reach, 1.0, 1.0) - c
+        lambda c: _best_response(0, profile(c, leaf_level(c)), docs, reach, 1.0, 1.0) - c
     )
     return profile(centre, leaf_level(centre)), diss
 
@@ -334,8 +350,7 @@ def test_brd_certifies_star_equilibria(n, p):
     # Plain cyclic sweeps took 107, 394 and 935 sweeps on the 20-, 40- and
     # 60-stars at p = 0.9 and stalled on the 120-star.
     oracle, diss = _star_oracle(n, p)
-    gap, _ = game._nash_gap(oracle, diss.expected_docs, diss.reach, 1.0, 1.0)
-    assert gap <= 1e-8
+    assert _nash_gap(oracle, diss) <= 1e-8
     out = best_response_dynamics(star_graph(n), diss, Params(p, 1.0, 1.0))
     assert np.abs(out.q - oracle).max() <= 1e-7
 
@@ -346,8 +361,7 @@ def test_brd_falls_back_to_plain_sweeps_after_a_cycle():
     g = load_edge_list("0 1\n0 6\n1 2\n1 5\n1 6\n2 3\n3 4\n3 5\n4 5\n4 6\n5 6\n")
     diss = reach_exact(g, 0.7)
     out = best_response_dynamics(g, diss, Params(0.7, 1.0, 1.0))
-    gap, _ = game._nash_gap(out.q, diss.expected_docs, diss.reach, 1.0, 1.0)
-    assert gap <= 1e-8
+    assert _nash_gap(out.q, diss) <= 1e-8
 
 
 def test_brd_reports_exhausted_sweeps():
@@ -406,6 +420,107 @@ def test_brd_welfare_equals_reward_sum():
     g = ring_graph(5)
     out = best_response_dynamics(g, _closed_diss(g, 0.3), Params(0.3, 1.0, 1.0))
     assert abs(out.welfare - out.rewards.sum()) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Stacked best-response dynamics
+# ---------------------------------------------------------------------------
+
+def _random_connected_graph(rng, n):
+    """A random spanning tree on n agents plus up to n - 1 random chords."""
+    edges = {(int(rng.integers(v)), v) for v in range(1, n)}
+    for _ in range(int(rng.integers(n))):
+        edges.add(tuple(sorted(rng.choice(n, 2, replace=False).tolist())))
+    return load_edge_list("".join(f"{u} {v}\n" for u, v in sorted(edges)))
+
+
+def _solve_each(g, disses, ps, **options):
+    """Per-point results up to the first failing point: q bytes, or the
+    error's (message, residual, iterations, last_q bytes)."""
+    results = []
+    for diss, p in zip(disses, ps):
+        try:
+            out = best_response_dynamics(g, diss, Params(p, 1.0, 1.0), **options)
+        except NonConvergenceError as exc:
+            assert exc.index is None
+            return results + [(str(exc), exc.residual, exc.iterations, exc.last_q.tobytes())]
+        results.append(out.q.tobytes())
+    return results
+
+
+def _solve_stacked(g, disses, ps, **options):
+    """A stacked solve: every point's q bytes, or (index, error as above)."""
+    try:
+        outs = best_response_dynamics(g, disses, [Params(p, 1.0, 1.0) for p in ps], **options)
+    except NonConvergenceError as exc:
+        return exc.index, (str(exc), exc.residual, exc.iterations, exc.last_q.tobytes())
+    assert all(out.regime == "nash-strategic" for out in outs)
+    return [out.q.tobytes() for out in outs]
+
+
+def _assert_stack_matches(g, disses, ps, **options):
+    """Compare a stacked solve with per-point calls; whether a point failed."""
+    each = _solve_each(g, disses, ps, **options)
+    stacked = _solve_stacked(g, disses, ps, **options)
+    if isinstance(each[-1], tuple):
+        assert stacked == (len(each) - 1, each[-1])
+        return True
+    assert stacked == each
+    return False
+
+
+def test_stacked_brd_matches_per_point_calls_on_random_graphs():
+    # Fewer sweeps than the default keep the failing points cheap; both
+    # sides of each comparison use the same budget.
+    rng = np.random.default_rng(13)
+    failing = 0
+    for _ in range(30):
+        g = _random_connected_graph(rng, int(rng.integers(3, 8)))
+        ps = np.sort(rng.uniform(0.05, 0.95, 5))
+        disses = [reach_exact(g, p) for p in ps]
+        failing += _assert_stack_matches(g, disses, ps, max_iter=100)
+    assert 0 < failing < 30  # both outcomes are covered
+
+
+@pytest.mark.parametrize("n", [5, 20])
+def test_stacked_brd_matches_per_point_calls_on_stars(n):
+    g = star_graph(n)
+    grid = np.linspace(0.0, 1.0, 21)
+    assert not _assert_stack_matches(g, [_closed_diss(g, p) for p in grid], grid)
+
+
+def test_stacked_brd_reports_the_lowest_failing_point():
+    # SIX_NODE certifies at 0.3, 0.5 and 0.6 and cycles at 0.825 and 0.85.
+    g = load_edge_list(SIX_NODE)
+    ps = [0.3, 0.6, 0.85, 0.5, 0.825]
+    disses = [reach_exact(g, p) for p in ps]
+    each = [_solve_each(g, [diss], [p])[0] for diss, p in zip(disses, ps)]
+    assert [isinstance(result, tuple) for result in each] == [False, False, True, False, True]
+    assert _solve_stacked(g, disses, ps) == (2, each[2])
+    order = [0, 4, 3]  # 0.825 now fails between certifying points
+    assert _solve_stacked(g, [disses[k] for k in order], [ps[k] for k in order]) == (1, each[4])
+
+
+def test_stacked_brd_row_ignores_its_stack():
+    g = star_graph(5)
+    grid = np.linspace(0.0, 1.0, 9)
+    disses = [_closed_diss(g, p) for p in grid]
+    alone = [_solve_stacked(g, [diss], [p])[0] for diss, p in zip(disses, grid)]
+    assert _solve_stacked(g, disses[::-1], grid[::-1]) == alone[::-1]
+    assert _solve_stacked(g, disses[1::3], grid[1::3]) == alone[1::3]
+
+
+def test_stacked_brd_checks_its_sequences():
+    g = star_graph(4)
+    diss = _closed_diss(g, 0.5)
+    with pytest.raises(ValueError, match="as many parameter sets"):
+        best_response_dynamics(g, [diss, diss], [Params(0.5, 1.0, 1.0)])
+    with pytest.raises(ValueError, match="at least one"):
+        best_response_dynamics(g, [], [])
+    with pytest.raises(ValueError, match="disagree"):
+        best_response_dynamics(g, [diss, _closed_diss(star_graph(5), 0.5)], [Params(0.5)] * 2)
+    with pytest.raises(ValueError, match="share alpha and omega"):
+        best_response_dynamics(g, [diss, diss], [Params(0.5), Params(0.5, omega=2.0)])
 
 
 # ---------------------------------------------------------------------------
