@@ -56,27 +56,33 @@ def _as_security(q, n: int | None = None) -> np.ndarray:
 
 
 def _water_fill(v, omega: float):
-    """Unchecked water-filling scan: (a, lam, active) for the values v.
+    """Unchecked water-filling scan, row by row: (a, lam, active) for a
+    (B, n) stack of values v.
 
-    Sorts v descending (stable, so ties break by agent index) and scans for
-    the largest prefix k whose water level lam_k = (omega - sum of top k) / k
-    keeps the k-th value positive.  The solvers call this directly on
-    inputs they have already checked; `optimal_attack` is the checked entry.
+    Returns the (B, n) attacks, the (B,) water levels and the (B, n) active
+    masks.  Sorts each row descending (stable, so ties break by agent
+    index) and scans for the largest prefix k whose water level
+    lam_k = (omega - sum of top k) / k keeps the k-th value positive.
+    Every step is row-local, so a row gets the bytes it would alone.  The
+    solvers call this directly on inputs they have already checked;
+    `optimal_attack` is the checked entry.
     """
-    n = v.size
-    vs = v[(-v).argsort(kind="stable")]
-    if vs[0] == vs[-1]:
-        # All-equal values: the solution is exactly uniform.
-        return np.full(n, 1.0 / n), float(omega / n - v[0]), np.arange(n)
-    lams = (omega - vs.cumsum()) / np.arange(1, n + 1)
-    k = int((vs + lams > BOUNDARY_TOL).nonzero()[0][-1]) + 1
-    lam = float(lams[k - 1])
+    n = v.shape[1]
+    flat = np.arange(0, v.size, n)  # each row's offset into v.ravel()
+    vs = v.take((-v).argsort(axis=1, kind="stable") + flat[:, None])
+    lams = (omega - np.add.accumulate(vs, axis=1)) / np.arange(1, n + 1)
+    k = n - (vs + lams > BOUNDARY_TOL)[:, ::-1].argmax(axis=1)
+    lam = lams.take(flat + k - 1)
     # One correction pass pins the simplex sum to machine precision.
-    lam += (1.0 - np.maximum(v + lam, 0.0).sum() / omega) * omega / k
-    level = v + lam
-    a = np.maximum(level, 0.0) / omega
-    a[level <= BOUNDARY_TOL] = 0.0
-    return a, lam, a.nonzero()[0]
+    lam += (1.0 - np.add.reduce(np.maximum(v + lam[:, None], 0.0), axis=1) / omega) * omega / k
+    level = v + lam[:, None]
+    # Values within BOUNDARY_TOL of the level count as inactive.
+    a = np.where(level > BOUNDARY_TOL, level, 0.0) / omega
+    equal = vs[:, 0] == vs[:, -1]
+    if equal.any():  # all-equal values: the solution is exactly uniform
+        a[equal] = 1.0 / n
+        lam[equal] = omega / n - v[equal, 0]
+    return a, lam, a > 0.0
 
 
 def optimal_attack(q, docs, omega: float) -> AttackSolution:
@@ -92,7 +98,8 @@ def optimal_attack(q, docs, omega: float) -> AttackSolution:
     _check_cost("omega", omega)
     if (docs < 1.0 - 1e-9).any():
         raise ValueError("expected documents are always >= 1 on a connected graph")
-    return AttackSolution(*_water_fill((1.0 - q) * docs, omega))
+    a, lam, active = _water_fill(((1.0 - q) * docs)[None], omega)
+    return AttackSolution(a[0], float(lam[0]), active[0].nonzero()[0])
 
 
 def kkt_residual(sol: AttackSolution, q, docs, omega: float) -> float:
@@ -111,11 +118,14 @@ def kkt_residual(sol: AttackSolution, q, docs, omega: float) -> float:
 
 
 def breach_probabilities(a, q, reach) -> np.ndarray:
-    """Probability each agent i's document is stolen: sum_j reach[i, j] a_j (1 - q_j)."""
+    """Probability each agent i's document is stolen: sum_j reach[i, j] a_j (1 - q_j).
+
+    Also takes stacks: a and q of shape (B, n) with reach (B, n, n).
+    """
     a = np.asarray(a, dtype=float)
     q = _as_security(q)
     reach = np.asarray(reach, dtype=float)
-    return reach @ (a * (1.0 - q))
+    return (reach @ (a * (1.0 - q))[..., None])[..., 0]
 
 
 def expected_stolen(a, q, docs) -> float:

@@ -215,8 +215,9 @@ def _regime_profiles(g: Graph, grid, args):
 
     Points are solved in grid order, in blocks whose stacked reach matrices
     fit in _SWEEP_BLOCK_BYTES; each block's strategic equilibria come from
-    one stacked best-response call.  A solver failure names its p, and it
-    is the failure a point-by-point sweep would have met first.
+    one stacked best-response call and its social optima from one stacked
+    call.  A solver failure names its p, and it is the failure a
+    point-by-point sweep would have met first.
     """
     block = max(1, _SWEEP_BLOCK_BYTES // (8 * g.n * g.n))
     profiles = []
@@ -228,17 +229,17 @@ def _regime_profiles(g: Graph, grid, args):
             nash, failed = game.best_response_dynamics(g, disses, params), None
         except NonConvergenceError as exc:
             nash, failed = None, exc
-        for k, (p, diss) in enumerate(zip(points, disses)):
-            q_nr = game.nash_random(g.n, args.alpha)
+        # Point by point, the optima below a failed equilibrium come first.
+        solved = len(points) if failed is None else failed.index
+        try:
+            optima = solved and game.social_optimum_numeric(g, disses[:solved], params[:solved])
+        except NonConvergenceError as exc:
+            failed = exc
+        if failed is not None:
+            raise NonConvergenceError(f"at p = {_fmt(points[failed.index])}: {failed}") from failed
+        for diss, q_ns, q_os in zip(disses, nash, optima):
             q_or = game.social_optimum_random(diss.expected_docs, args.alpha)
-            try:
-                if failed is not None and k == failed.index:
-                    raise failed
-                q_os = game.social_optimum_numeric(g, diss, params[k]).q
-            except NonConvergenceError as exc:
-                raise NonConvergenceError(f"at p = {_fmt(p)}: {exc}") from exc
-            if nash is not None:  # else point failed.index raises above
-                profiles.append([q_nr, q_or, nash[k].q, q_os])
+            profiles.append([game.nash_random(g.n, args.alpha), q_or, q_ns.q, q_os.q])
     return profiles
 
 

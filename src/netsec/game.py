@@ -8,10 +8,11 @@ networks); general graphs are handled by best-response dynamics and
 projected Newton ascent on welfare.  An agent's reward is piecewise
 quadratic in its own investment, one piece per attacker active set, with
 upward kinks between pieces: best responses walk those pieces exactly,
-and a pure strategic equilibrium need not exist.  Best-response dynamics
-also takes a stack of points, such as a p grid, and sweeps them together.
-Both solvers check their inputs once on entry; welfare and rewards come
-from the unchecked water-fill kernel `_water_fill`.
+and a pure strategic equilibrium need not exist.  Both iterative solvers
+also take a stack of points, such as a p grid, and solve them together.
+They check their inputs once on entry; welfare and rewards come from the
+unchecked row-wise water-fill kernel `_water_fill`, which takes a whole
+stack of rows in one call.
 """
 
 from __future__ import annotations
@@ -263,7 +264,7 @@ def _best_response(i, q, docs, reach_i, alpha, omega, walk):
 
 
 def _rewards(q, docs, reach, alpha, omega):
-    """Every agent's reward at q against the attacker's best response."""
+    """Each row's rewards at a stack q against the attacker's best response."""
     a = _water_fill((1.0 - q) * docs, omega)[0]
     return 1.0 - breach_probabilities(a, q, reach) - 0.5 * alpha * q**2
 
@@ -274,21 +275,34 @@ def _nash_gap(q, docs, reach, alpha, omega):
     at a Nash equilibrium.
 
     q and docs are (B, n) and reach is (B, n, n); the points share alpha
-    and omega.  Returns two (B,) arrays.
+    and omega.  Returns two (B,) arrays from n + 1 stacked reward calls.
     """
     rows, n = q.shape
     walk = _walk_constants(rows, n)
-    best = [_best_response(i, q, docs, reach[:, i], alpha, omega, walk) for i in range(n)]
+    base = _rewards(q, docs, reach, alpha, omega)
     gains = np.empty((rows, n))
-    for b in range(rows):
-        args = docs[b], reach[b], alpha, omega
-        base = _rewards(q[b], *args)
-        for i in range(n):
-            deviation = q[b].copy()
-            deviation[i] = best[i][b]
-            gains[b, i] = _rewards(deviation, *args)[i] - base[i]
+    for i in range(n):
+        deviation = q.copy()
+        deviation[:, i] = _best_response(i, q, docs, reach[:, i], alpha, omega, walk)
+        gains[:, i] = _rewards(deviation, docs, reach, alpha, omega)[:, i] - base[:, i]
     agents = gains.argmax(axis=1)
     return gains[np.arange(rows), agents], agents
+
+
+def _stack_points(g, diss, params):
+    """Checked points of a solve given one point or equal-length sequences:
+    (single, disses, params, alpha, omega)."""
+    single = isinstance(diss, Dissemination)
+    disses, points = ([diss], [params]) if single else (list(diss), list(params))
+    if not disses or len(disses) != len(points):
+        raise ValueError("needs as many parameter sets as disseminations, at least one")
+    if any(d.n != g.n for d in disses):
+        raise ValueError("graph and dissemination disagree on the number of agents")
+    costs = {(p.alpha, p.omega) for p in points}
+    if len(costs) > 1:
+        raise ValueError("stacked points must share alpha and omega")
+    ((alpha, omega),) = costs
+    return single, disses, points, alpha, omega
 
 
 def best_response_dynamics(
@@ -333,20 +347,11 @@ def best_response_dynamics(
     into one array, 8 n^2 bytes a point on top of the inputs, so callers
     bound the number of points: the CLI sweeps pass blocks of 16 MB.
     """
-    single = isinstance(diss, Dissemination)
-    disses, points = ([diss], [params]) if single else (list(diss), list(params))
     if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if not disses or len(disses) != len(points):
-        raise ValueError("needs as many parameter sets as disseminations, at least one")
-    if any(d.n != g.n for d in disses):
-        raise ValueError("graph and dissemination disagree on the number of agents")
-    costs = {(p.alpha, p.omega) for p in points}
-    if len(costs) > 1:
-        raise ValueError("stacked points must share alpha and omega")
-    ((alpha, omega),) = costs
+    single, disses, points, alpha, omega = _stack_points(g, diss, params)
     n, rows = g.n, len(disses)
     docs = np.array([d.expected_docs for d in disses], dtype=float)
 
@@ -426,9 +431,14 @@ def best_response_dynamics(
     return outcomes[0] if single else outcomes
 
 
+def _row_dot(x, y):
+    """Row-wise dots of (B, n) stacks, each by the BLAS call of a 1-D `x @ y`."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
 def _welfare_and_gradient(q, docs, alpha, omega):
-    """Welfare at q, its gradient through the attacker's best response, and
-    the attacked agents.
+    """Welfare at each row of a stack q, its gradient through the attacker's
+    best response, and the attacked agents: (B,), (B, n) and (B, n) mask.
 
     All three come from one kernel call.  On the active set,
     d welfare / d q_i = docs_i (2 a_i - 1/k) - alpha q_i with k active
@@ -438,15 +448,15 @@ def _welfare_and_gradient(q, docs, alpha, omega):
     """
     v = (1.0 - q) * docs
     a, _, active = _water_fill(v, omega)
-    value = docs.size - float(a @ v) - 0.5 * alpha * float(q @ q)
+    value = q.shape[1] - _row_dot(a, v) - 0.5 * alpha * _row_dot(q, q)
     grad = -alpha * q
-    grad[active] += docs[active] * (2.0 * a[active] - 1.0 / active.size)
-    return value, grad, active
+    k = active.sum(axis=1, keepdims=True)
+    return value, np.where(active, grad + docs * (2.0 * a - 1.0 / k), grad), active
 
 
 def _newton_direction(grad, free, active, docs, alpha, omega):
-    """Newton direction of the current active-set region on the free
-    coordinates, zero elsewhere.
+    """Newton direction of each row's active-set region on its free
+    coordinates, zero elsewhere; all arguments but the costs are (B, n).
 
     Within a region the welfare is an exact quadratic whose negated Hessian
     on the free coordinates is diag(m) - u u' / k, with
@@ -455,23 +465,27 @@ def _newton_direction(grad, free, active, docs, alpha, omega):
     agents.  Sherman-Morrison solves it in O(n); the denominator
     k - u' M^-1 u is positive because alpha > 0.
     """
-    attacked = np.zeros(docs.size, dtype=bool)
-    attacked[active] = True
-    m = alpha + 2.0 / omega * docs**2 * attacked
-    u = np.sqrt(2.0 / omega) * docs * (attacked & free)
+    m = alpha + 2.0 / omega * docs**2 * active
+    u = np.sqrt(2.0 / omega) * docs * (active & free)
     m_grad = np.where(free, grad, 0.0) / m
     m_u = u / m
-    return m_grad + m_u * (float(u @ m_grad) / (active.size - float(u @ m_u)))
+    shift = _row_dot(u, m_grad) / (active.sum(axis=1) - _row_dot(u, m_u))
+    return m_grad + m_u * shift[:, None]
+
+
+_STARTS = 8  # uniform 0.1, 0.5 and 0.9, then five seeded random starts
+_SLOTS = np.arange(8)  # line-search steps a row may try in one round
+_HALVINGS = 0.5**_SLOTS
 
 
 def social_optimum_numeric(
     g: Graph,
-    diss: Dissemination,
-    params: Params,
+    diss: Dissemination | Sequence[Dissemination],
+    params: Params | Sequence[Params],
     tol: float = 1e-8,
     max_iter: int = 20_000,
     seed: int = 0,
-) -> GameOutcome:
+) -> GameOutcome | list[GameOutcome]:
     """Welfare maximization over investments by projected Newton ascent.
 
     Runs from uniform starts {0.1, 0.5, 0.9} plus five seeded random
@@ -481,56 +495,91 @@ def social_optimum_numeric(
     passes the Armijo test W(trial) >= W(q) + 1e-4 g'(trial - q) (Bertsekas,
     SIAM J. Control Optim. 1982); a start that cannot pass it at any step
     has failed.  Convergence is a projected gradient norm <= tol at a fixed
-    reference step, and the best-welfare converged run wins.  On graphs
-    without a homogeneity guarantee the winner is the best stationary point
-    found, not a certified global optimum.
+    reference step, and the best-welfare converged run wins (the earliest
+    start on ties).  On graphs without a homogeneity guarantee the winner
+    is the best stationary point found, not a certified global optimum.
+
+    The starts run as the rows of one stack.  Each round evaluates every
+    running row's trials in one kernel call: a row tries at once as many
+    halvings as its last line search needed and takes the first that
+    passes, so each row takes the path, and gets the bytes, it would alone.
+    Like `best_response_dynamics`, `diss` and `params` may be equal-length
+    sequences of points that share alpha and omega; all their starts join
+    the stack, the GameOutcomes come back as a list in input order, and a
+    failure raises the lowest failing point's NonConvergenceError with that
+    point's position as `index` (None when a single point was given).
     """
     if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
-    if g.n != diss.n:
-        raise ValueError("graph and dissemination disagree on the number of agents")
-    docs = np.asarray(diss.expected_docs, dtype=float)
-    alpha, omega = params.alpha, params.omega
+    single, disses, points, alpha, omega = _stack_points(g, diss, params)
     n = g.n
-    ref_step = 1.0 / (alpha + 2.0 * float(docs.max()) ** 2 / omega)
+    docs = np.repeat(np.array([d.expected_docs for d in disses], dtype=float), _STARTS, axis=0)
+    ref_step = 1.0 / (alpha + 2.0 * docs.max(axis=1) ** 2 / omega)
     rng = np.random.default_rng(seed)
-    starts = [np.full(n, c) for c in (0.1, 0.5, 0.9)]
-    starts += [rng.random(n) for _ in range(5)]
-
-    best_q, best_welfare = None, -np.inf
-    failures = 0
-    for q0 in starts:
-        q = q0.copy()
-        value, grad, active = _welfare_and_gradient(q, docs, alpha, omega)
-        converged = False
-        for _ in range(max_iter):
-            if np.abs(np.clip(q + ref_step * grad, 0.0, 1.0) - q).max() <= tol * ref_step:
-                converged = True
+    starts = np.vstack([np.full((3, n), [[0.1], [0.5], [0.9]]), rng.random((_STARTS - 3, n))])
+    rows, q = len(disses) * _STARTS, np.tile(starts, (len(disses), 1))
+    value, grad, active = _welfare_and_gradient(q, docs, alpha, omega)
+    best_q, best_value = np.empty((rows, n)), np.full(rows, -np.inf)  # -inf: no convergence
+    # The stack keeps the rows still running; `ids` maps them back.
+    ids, iters, fresh = np.arange(rows), np.zeros(rows, dtype=int), np.ones(rows, dtype=bool)
+    direction, step, width = np.zeros((rows, n)), np.ones(rows), np.ones(rows)
+    wedged = np.zeros(rows, dtype=bool)
+    while True:
+        # Rows at a new iterate test it; stationary ones have converged.
+        gap = np.abs(np.clip(q + ref_step[:, None] * grad, 0.0, 1.0) - q).max(axis=1)
+        stationary = gap <= tol * ref_step
+        done = wedged | (fresh & (stationary | (iters >= max_iter)))
+        if done.any():
+            won = fresh & stationary & (iters < max_iter)
+            best_q[ids[won]], best_value[ids[won]] = q[won], value[won]
+            state = ids, q, value, grad, active, direction, step, width, iters, fresh, docs, ref_step
+            ids, q, value, grad, active, direction, step, width, iters, fresh, docs, ref_step = (
+                x[~done] for x in state
+            )
+            if not ids.size:
                 break
+        if fresh.any():  # the others take a Newton direction and start from step 1
             blocked = ((q <= 0.0) & (grad < 0.0)) | ((q >= 1.0) & (grad > 0.0))
-            direction = _newton_direction(grad, ~blocked, active, docs, alpha, omega)
-            step = 1.0
-            while step > 1e-16:
-                trial = np.clip(q + step * direction, 0.0, 1.0)
-                evaluated = _welfare_and_gradient(trial, docs, alpha, omega)
-                if evaluated[0] >= value + 1e-4 * float(grad @ (trial - q)):
-                    break
-                step *= 0.5
-            else:
-                break  # wedged: no step passes the Armijo test
-            q, (value, grad, active) = trial, evaluated
-        if converged:
-            if value > best_welfare:
-                best_q, best_welfare = q, value
-        else:
-            failures += 1
-    if best_q is None:
+            new = _newton_direction(grad, ~blocked, active, docs, alpha, omega)
+            direction = np.where(fresh[:, None], new, direction)
+            step[fresh] = 1.0
+        # Each row tries its next `width` halvings at once, as many as its
+        # last line search needed, and takes the first that passes.
+        steps = step[:, None] * _HALVINGS
+        use = (steps > 1e-16) & (_SLOTS < width[:, None])
+        tried = use.sum(axis=1)  # a prefix of each row's slots
+        trials = np.clip(q[:, None] + steps[..., None] * direction[:, None], 0.0, 1.0)
+        t_q = trials[use]
+        t_value, t_grad, t_active = _welfare_and_gradient(
+            t_q, docs.repeat(tried, axis=0), alpha, omega
+        )
+        welfare = np.full(use.shape, -np.inf)
+        welfare[use] = t_value
+        rise = np.matmul((trials - q[:, None])[:, :, None, :], grad[:, None, :, None])
+        passes = welfare >= value[:, None] + 1e-4 * rise[..., 0, 0]
+        fresh, slot = passes.any(axis=1), passes.argmax(axis=1)
+        pick, moved = np.cumsum(tried) - tried + slot, fresh[:, None]
+        q, grad = np.where(moved, t_q[pick], q), np.where(moved, t_grad[pick], grad)
+        active, value = np.where(moved, t_active[pick], active), np.where(fresh, t_value[pick], value)
+        iters += fresh
+        width = np.where(fresh, np.minimum(slot + 1 - np.log2(step), _SLOTS.size), width)
+        step = np.where(fresh, step, step * 0.5**tried)
+        wedged = step <= 1e-16  # no step passes the Armijo test: the start failed
+    welfare = best_value.reshape(-1, _STARTS)
+    failed = np.isneginf(welfare.max(axis=1)).nonzero()[0]
+    if failed.size:
         raise NonConvergenceError(
             f"no projected-gradient start converged within {max_iter} iterations "
-            f"({failures} starts attempted)",
+            f"({_STARTS} starts attempted)",
             iterations=max_iter,
+            index=None if single else int(failed[0]),
         )
-    return evaluate_outcome(diss, params, best_q, OPT_STRATEGIC)
+    best = welfare.argmax(axis=1)
+    outcomes = [
+        evaluate_outcome(d, p, best_q[b * _STARTS + best[b]], OPT_STRATEGIC)
+        for b, (d, p) in enumerate(zip(disses, points))
+    ]
+    return outcomes[0] if single else outcomes
 
 
 # ---------------------------------------------------------------------------

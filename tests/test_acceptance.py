@@ -195,15 +195,16 @@ def test_criterion_5_sensitivity():
         if sol.n_star < n or sol.a.min() < 1e-3:
             continue
         count += 1
-        _, grad, _ = _welfare_and_gradient(q, docs, alpha, omega)
+        # The solver's kernel takes stacks: each point is a one-row stack.
+        grad = _welfare_and_gradient(q[None], docs[None], alpha, omega)[1][0]
         fd = np.zeros(n)
         for j in range(n):
             up, down = q.copy(), q.copy()
             up[j] += step
             down[j] -= step
             fd[j] = (
-                _welfare_and_gradient(up, docs, alpha, omega)[0]
-                - _welfare_and_gradient(down, docs, alpha, omega)[0]
+                _welfare_and_gradient(up[None], docs[None], alpha, omega)[0][0]
+                - _welfare_and_gradient(down[None], docs[None], alpha, omega)[0][0]
             ) / (2 * step)
         assert np.abs(grad - fd).max() <= 1e-6
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from netsec.attack import (
+    BOUNDARY_TOL,
     _water_fill,
     attacker_payoff,
     breach_probabilities,
@@ -189,9 +190,9 @@ def reference_water_fill(v, omega, tol=1e-12):
 
 
 def test_water_fill_kernel_matches_checked_solver():
-    # The solvers call the unchecked kernel directly; it must return exactly
-    # what the checked entry point and the reference scan do, on generic
-    # values, ties, all-equal values and a single agent.
+    # The solvers call the unchecked kernel directly; a one-row stack must
+    # return exactly what the checked entry point and the reference scan
+    # do, on generic values, ties, all-equal values and a single agent.
     rng = np.random.default_rng(11)
     cases = [random_instance(rng) for _ in range(50)]
     cases += [random_instance(rng, n) for n in (30, 200) for _ in range(5)]
@@ -205,13 +206,62 @@ def test_water_fill_kernel_matches_checked_solver():
     for q, docs, omega in cases:
         v = (1.0 - q) * docs
         before = v.copy()
-        a, lam, active = _water_fill(v, omega)
+        a, lam, active = _water_fill(v[None], omega)
         assert np.array_equal(v, before)
+        assert a.shape == active.shape == (1, v.size) and lam.shape == (1,)
         sol = optimal_attack(q, docs, omega)
         for expected in ((sol.a, sol.lam, sol.active), reference_water_fill(v, omega)):
-            assert np.array_equal(a, expected[0])
-            assert lam == expected[1]
-            assert np.array_equal(active, expected[2])
+            assert np.array_equal(a[0], expected[0])
+            assert lam[0] == expected[1]
+            assert np.array_equal(active[0].nonzero()[0], expected[2])
+
+
+def test_breach_probabilities_rows_match_single_points():
+    rng = np.random.default_rng(4)
+    for n in (1, 4, 9):
+        a, q, reach = rng.random((5, n)), rng.random((5, n)), rng.random((5, n, n))
+        stacked = breach_probabilities(a, q, reach)
+        for b in range(5):
+            assert np.array_equal(stacked[b], breach_probabilities(a[b], q[b], reach[b]))
+            assert np.array_equal(stacked[b], reach[b] @ (a[b] * (1.0 - q[b])))
+
+
+def _random_stack(rng, rows, n, omega):
+    """A (rows, n) stack of values mixing generic rows, ties, all-equal
+    rows and rows with a value within BOUNDARY_TOL of the water level."""
+    v = rng.random((rows, n)) * n
+    for b in range(rows):
+        kind = rng.integers(4)
+        if kind == 1:  # ties among a few levels
+            v[b] = rng.integers(3, size=n) * 0.5
+        elif kind == 2:
+            v[b] = v[b, 0]
+        elif kind == 3 and n > 1:  # one inactive value at the level, nudged
+            lam = reference_water_fill(v[b], omega)[1]
+            v[b, rng.integers(n)] = -lam + rng.choice([-2e-12, -5e-13, 0.0, 5e-13, 2e-12])
+    return v
+
+
+def test_water_fill_rows_match_reference_on_random_stacks():
+    # Each row of a stack gets the bytes the reference scan gives it alone,
+    # whatever the other rows hold.
+    rng = np.random.default_rng(23)
+    near_level = 0
+    for _ in range(300):
+        n = int(rng.choice([1, 2, 3, 5, 8, 20]))
+        rows = int(rng.integers(1, 12))
+        omega = float(rng.choice([0.3, 1.0, 2.5]))
+        v = _random_stack(rng, rows, n, omega)
+        before = v.copy()
+        a, lam, active = _water_fill(v, omega)
+        assert np.array_equal(v, before)
+        for b in range(rows):
+            ref_a, ref_lam, ref_active = reference_water_fill(v[b], omega)
+            assert np.array_equal(a[b], ref_a)
+            assert lam[b] == ref_lam
+            assert np.array_equal(active[b].nonzero()[0], ref_active)
+            near_level += bool((np.abs(v[b] + ref_lam) <= BOUNDARY_TOL).any())
+    assert near_level >= 50
 
 
 # ---------------------------------------------------------------------------

@@ -431,17 +431,22 @@ def test_star_sweep_builds_one_dissemination_per_point(capsys, monkeypatch):
 def test_star_sweep_in_blocks_matches_one_block(capsys, monkeypatch, tmp_path):
     argv = ["sweep-investments", "--topology", "star", "--n", "5", "--p-grid", "0:1:21"]
     one_block = run_cli(capsys, *argv, "--svg", str(tmp_path / "one.svg"))
-    stacks = []
-    real = game.best_response_dynamics
+    stacks = {"best_response_dynamics": [], "social_optimum_numeric": []}
 
-    def counting(g, disses, params, **kwargs):
-        stacks.append(len(disses))
-        return real(g, disses, params, **kwargs)
+    def counting(name):
+        real = getattr(game, name)
 
-    monkeypatch.setattr(game, "best_response_dynamics", counting)
+        def solve(g, disses, params, **kwargs):
+            stacks[name].append(len(disses))
+            return real(g, disses, params, **kwargs)
+
+        return solve
+
+    for name in stacks:
+        monkeypatch.setattr(game, name, counting(name))
     monkeypatch.setattr(cli, "_SWEEP_BLOCK_BYTES", 8 * 8 * 5 * 5)  # 8 points of 5 agents
     blocks = run_cli(capsys, *argv, "--svg", str(tmp_path / "blocks.svg"))
-    assert stacks == [8, 8, 5]
+    assert stacks == {"best_response_dynamics": [8, 8, 5], "social_optimum_numeric": [8, 8, 5]}
     assert one_block[0] == 0 and blocks == one_block
     assert (tmp_path / "blocks.svg").read_bytes() == (tmp_path / "one.svg").read_bytes()
 
@@ -458,6 +463,32 @@ def test_sweep_names_the_failing_point(capsys, tmp_path):
     assert out == ""
     assert err.startswith("netsec: solver did not converge: at p = 0.7: ")
     assert err.count("\n") == 1 and "gains" in err
+
+
+def test_sweep_reports_an_optimum_failure_below_the_equilibrium_failure(capsys, monkeypatch, tmp_path):
+    # With alpha = 1.5 and omega = 2 no equilibrium is certified at p = 0.3
+    # on this graph, and at max_iter=2 no optimum start converges at
+    # p = 0.2 or 0.3.  A point-by-point sweep meets the optimum at 0.2
+    # first, and so must the stacked one.
+    path = tmp_path / "graph.txt"
+    path.write_text("0 1\n0 4\n0 5\n1 2\n1 3\n1 4\n2 3\n3 4\n3 6\n4 6\n", encoding="utf-8")
+    argv = ["sweep-investments", "--edges", str(path), "--p-grid", "0:1:11", "--alpha", "1.5", "--omega", "2"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("netsec: solver did not converge: at p = 0.3: best-response dynamics stopped: ")
+    real = game.social_optimum_numeric
+    monkeypatch.setattr(
+        game, "social_optimum_numeric", lambda *args, **options: real(*args, max_iter=2, **options)
+    )
+    stacked = run_cli(capsys, *argv)
+    assert stacked == (
+        3,
+        "",
+        "netsec: solver did not converge: at p = 0.2: no projected-gradient start "
+        "converged within 2 iterations (8 starts attempted)\n",
+    )
+    monkeypatch.setattr(cli, "_SWEEP_BLOCK_BYTES", 8 * 7 * 7)  # one point a block
+    assert run_cli(capsys, *argv) == stacked
 
 
 def test_number_formatting_12_digits(capsys):

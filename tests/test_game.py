@@ -4,6 +4,7 @@ import pytest
 from netsec import game
 from netsec.attack import _water_fill, breach_probabilities, optimal_attack
 from netsec.dissemination import (
+    Dissemination,
     Params,
     complete_docs,
     complete_pair_bounds,
@@ -278,17 +279,17 @@ def test_brd_stops_on_repeated_profile(p):
 
 def test_brd_kernel_budget(monkeypatch):
     # Best responses are closed-form region walks; only the Nash-gap
-    # certificate evaluates rewards through the water-fill kernel.
-    calls = []
-
-    def counting_fill(v, omega):
-        calls.append(1)
-        return _water_fill(v, omega)
-
-    monkeypatch.setattr(game, "_water_fill", counting_fill)
+    # certificate evaluates rewards through the water-fill kernel, n + 1
+    # stacked calls whatever the number of points.
+    calls = _record_fills(monkeypatch)
     g = star_graph(20)
     best_response_dynamics(g, _closed_diss(g, 0.9), Params(0.9, 1.0, 1.0))
-    assert len(calls) <= 2 * g.n
+    assert sum(map(len, calls)) <= 2 * g.n
+    calls.clear()
+    grid = [0.3, 0.6, 0.9]
+    best_response_dynamics(g, [_closed_diss(g, p) for p in grid], [Params(p) for p in grid])
+    assert sum(map(len, calls)) <= 2 * g.n * len(grid)
+    assert len(calls) == g.n + 1
 
 
 def test_brd_sweep_budget(monkeypatch):
@@ -569,20 +570,36 @@ def test_social_optimum_numeric_regime_tag():
 ])
 def test_social_optimum_solves_each_point_once(monkeypatch, g, p, diss_of):
     # The line search's accepted trial carries its welfare, gradient and
-    # attack into the next iteration, so no point is solved twice in a row.
-    solved = _record_fills(monkeypatch)
-    social_optimum_numeric(g, diss_of(g, p), Params(p, 1.0, 1.0))
-    repeats = sum(a == b for a, b in zip(solved, solved[1:]))
-    assert len(solved) > 8
-    assert repeats == 0
+    # attack into the next iteration, so no row of an evaluation repeats a
+    # row of the one before, except a stationary point that one start
+    # ends on and another start reaches bit for bit next.
+    real = game._welfare_and_gradient
+    solved = []
+
+    def recording(q, docs, alpha, omega):
+        solved.append({row.tobytes() for row in q})
+        return real(q, docs, alpha, omega)
+
+    monkeypatch.setattr(game, "_welfare_and_gradient", recording)
+    diss = diss_of(g, p)
+    social_optimum_numeric(g, diss, Params(p, 1.0, 1.0))
+    assert sum(map(len, solved)) > 8
+    docs = diss.expected_docs
+    ref_step = 1.0 / (1.0 + 2.0 * docs.max() ** 2)
+    for a, b in zip(solved, solved[1:]):
+        for row in a & b:
+            q = np.frombuffer(row)
+            grad = real(q[None], docs[None], 1.0, 1.0)[1][0]
+            assert np.abs(np.clip(q + ref_step * grad, 0.0, 1.0) - q).max() <= 1e-8 * ref_step
 
 
 def _record_fills(monkeypatch):
-    """Record the values v of every kernel call the game module makes."""
+    """Record, for every kernel call the game module makes, the bytes of
+    each row of its values v."""
     solved = []
 
     def recording_fill(v, omega):
-        solved.append(np.asarray(v, dtype=float).tobytes())
+        solved.append([row.tobytes() for row in np.asarray(v, dtype=float)])
         return _water_fill(v, omega)
 
     monkeypatch.setattr(game, "_water_fill", recording_fill)
@@ -591,28 +608,59 @@ def _record_fills(monkeypatch):
 
 def test_newton_direction_solves_the_region_hessian():
     # Within an active-set region the welfare gradient is linear, so central
-    # differences of it give the region's Hessian up to rounding.
+    # differences of it give the region's Hessian up to rounding.  Each
+    # point is a one-row stack.
     rng = np.random.default_rng(5)
     partly_attacked = 0
+
+    def gradient(q, docs, alpha, omega):
+        return game._welfare_and_gradient(q[None], docs[None], alpha, omega)[1][0]
+
     for _ in range(40):
         n = int(rng.integers(2, 8))
         docs = 1.0 + rng.random(n) * (n - 1)
         q = rng.random(n)
         alpha, omega = 1.0 + rng.random(), 1.0 + 3.0 * rng.random()
         free = rng.random(n) < 0.7
-        _, grad, active = game._welfare_and_gradient(q, docs, alpha, omega)
-        partly_attacked += active.size < n
+        _, grad, active = game._welfare_and_gradient(q[None], docs[None], alpha, omega)
+        partly_attacked += active.sum() < n
         h = 1e-6
         hessian = np.column_stack([
-            (game._welfare_and_gradient(q + h * e, docs, alpha, omega)[1]
-             - game._welfare_and_gradient(q - h * e, docs, alpha, omega)[1]) / (2 * h)
+            (gradient(q + h * e, docs, alpha, omega) - gradient(q - h * e, docs, alpha, omega))
+            / (2 * h)
             for e in np.eye(n)
         ])
         expected = np.zeros(n)
-        expected[free] = np.linalg.solve(-hessian[np.ix_(free, free)], grad[free])
-        direction = game._newton_direction(grad, free, active, docs, alpha, omega)
-        np.testing.assert_allclose(direction, expected, rtol=1e-6, atol=1e-9)
+        expected[free] = np.linalg.solve(-hessian[np.ix_(free, free)], grad[0][free])
+        direction = game._newton_direction(grad, free[None], active, docs[None], alpha, omega)
+        np.testing.assert_allclose(direction[0], expected, rtol=1e-6, atol=1e-9)
     assert partly_attacked >= 5
+
+
+def test_newton_direction_rows_ignore_their_stack():
+    # A stack of rows gets each row's one-row direction, bit for bit.
+    rng = np.random.default_rng(6)
+    for n in (1, 3, 8):
+        docs = 1.0 + rng.random((7, n)) * (n - 1)
+        q = rng.random((7, n))
+        _, grad, active = game._welfare_and_gradient(q, docs, 1.5, 2.0)
+        free = rng.random((7, n)) < 0.7
+        stacked = game._newton_direction(grad, free, active, docs, 1.5, 2.0)
+        for b in range(7):
+            value, grad_b, active_b = game._welfare_and_gradient(q[b : b + 1], docs[b : b + 1], 1.5, 2.0)
+            assert np.array_equal(grad_b[0], grad[b]) and np.array_equal(active_b[0], active[b])
+            alone = game._newton_direction(grad_b, free[b : b + 1], active_b, docs[b : b + 1], 1.5, 2.0)
+            assert np.array_equal(alone[0], stacked[b])
+
+
+def test_row_dot_matches_one_dimensional_dot():
+    # Stacked welfare and directions keep each row's bytes only if every
+    # row's dot product is the one a 1-D `x @ y` gives.
+    rng = np.random.default_rng(8)
+    for n in (1, 3, 7, 20, 130):
+        x, y = rng.random((6, n)) - 0.5, rng.random((6, n)) * 3.0
+        dots = game._row_dot(x, y)
+        assert [float(d) for d in dots] == [float(x[b] @ y[b]) for b in range(6)]
 
 
 def test_social_optimum_ring4_p_zero_no_cycling(monkeypatch):
@@ -623,17 +671,142 @@ def test_social_optimum_ring4_p_zero_no_cycling(monkeypatch):
     g = ring_graph(4)
     out = social_optimum_numeric(g, _closed_diss(g, 0.0), Params(0.0, 1.0, 1.0))
     assert np.abs(out.q - 0.25).max() <= 1e-12
-    assert len(calls) <= 8 * 16
+    assert sum(map(len, calls)) <= 8 * 16
 
 
 def test_social_optimum_star5_sweep_kernel_budget(monkeypatch):
     # Newton steps converge in a handful of iterations per start; projected
-    # gradient ascent needed about 19 400 kernel calls on this grid.
+    # gradient ascent needed about 19 400 kernel rows on this grid.  The
+    # stacked sweep evaluates the same rows in few calls.
     calls = _record_fills(monkeypatch)
     g = star_graph(5)
-    for p in np.linspace(0.0, 1.0, 21):
+    grid = np.linspace(0.0, 1.0, 21)
+    for p in grid:
         social_optimum_numeric(g, _closed_diss(g, p), Params(p, 1.0, 1.0))
-    assert len(calls) < 2000
+    rows = sum(map(len, calls))
+    assert rows < 2000
+    calls.clear()
+    social_optimum_numeric(g, [_closed_diss(g, p) for p in grid], [Params(p) for p in grid])
+    assert sum(map(len, calls)) == rows
+    assert len(calls) <= 60
+
+
+def _sequential_optimum(diss, alpha, omega, tol=1e-8, max_iter=20_000, seed=0):
+    """Oracle: the projected Newton ascent one start and one trial step at
+    a time, through one-row calls of the solver's kernels; the best q."""
+    docs = diss.expected_docs[None]
+    n = docs.shape[1]
+    ref_step = 1.0 / (alpha + 2.0 * float(docs.max()) ** 2 / omega)
+    rng = np.random.default_rng(seed)
+    starts = [np.full(n, c) for c in (0.1, 0.5, 0.9)] + [rng.random(n) for _ in range(5)]
+    best_q, best_welfare = None, -np.inf
+    for q0 in starts:
+        q = q0[None]
+        value, grad, active = game._welfare_and_gradient(q, docs, alpha, omega)
+        for _ in range(max_iter):
+            if np.abs(np.clip(q + ref_step * grad, 0.0, 1.0) - q).max() <= tol * ref_step:
+                if value[0] > best_welfare:
+                    best_q, best_welfare = q[0], value[0]
+                break
+            blocked = ((q <= 0.0) & (grad < 0.0)) | ((q >= 1.0) & (grad > 0.0))
+            direction = game._newton_direction(grad, ~blocked, active, docs, alpha, omega)
+            step = 1.0
+            while step > 1e-16:
+                trial = np.clip(q + step * direction, 0.0, 1.0)
+                evaluated = game._welfare_and_gradient(trial, docs, alpha, omega)
+                if evaluated[0][0] >= value[0] + 1e-4 * float(grad[0] @ (trial - q)[0]):
+                    break
+                step *= 0.5
+            else:
+                break
+            q, (value, grad, active) = trial, evaluated
+    return best_q
+
+
+@pytest.mark.parametrize("g, p, diss_of, alpha, omega", [
+    (star_graph(20), 0.9, reach_closed_form, 1.0, 1.0),  # line searches of up to 8 steps
+    (star_graph(5), 0.45, reach_closed_form, 1.0, 1.0),
+    (star_graph(6), 0.7, reach_closed_form, 1.5, 2.0),
+    (load_edge_list(SIX_NODE), 0.6, reach_exact, 1.0, 1.0),
+    (load_edge_list(FIVE_NODE), 0.3, reach_exact, 2.0, 3.0),
+])
+def test_stacked_line_search_matches_one_step_at_a_time(g, p, diss_of, alpha, omega):
+    # Rows try several halvings of their step in one round and take the
+    # first that passes, which is the step a one-at-a-time search accepts.
+    diss = diss_of(g, p)
+    out = social_optimum_numeric(g, diss, Params(p, alpha, omega))
+    assert out.q.tobytes() == _sequential_optimum(diss, alpha, omega).tobytes()
+
+
+def _solve_optima(g, disses, ps, alpha=1.0, omega=1.0, **options):
+    """Per-point or stacked optima: each point's (q, welfare, rewards,
+    attack) bytes, or (index, message, iterations) of the error raised."""
+    single = isinstance(disses, Dissemination)
+    points = Params(ps, alpha, omega) if single else [Params(p, alpha, omega) for p in ps]
+    try:
+        outs = social_optimum_numeric(g, disses, points, **options)
+    except NonConvergenceError as exc:
+        return exc.index, str(exc), exc.iterations
+    outs = [outs] if single else outs
+    assert all(out.regime == "opt-strategic" for out in outs)
+    return [
+        (out.q.tobytes(), out.welfare, out.rewards.tobytes(), out.attack.a.tobytes())
+        for out in outs
+    ]
+
+
+def _assert_optima_stack_matches(g, disses, ps, **options):
+    each = [_solve_optima(g, diss, p, **options) for diss, p in zip(disses, ps)]
+    stacked = _solve_optima(g, disses, ps, **options)
+    assert stacked == [result[0] for result in each]
+
+
+@pytest.mark.parametrize("n", [5, 20])
+def test_stacked_optimum_matches_per_point_calls_on_stars(n):
+    g = star_graph(n)
+    grid = np.linspace(0.0, 1.0, 21)
+    _assert_optima_stack_matches(g, [_closed_diss(g, p) for p in grid], grid)
+
+
+def test_stacked_optimum_matches_per_point_calls_on_random_graphs():
+    rng = np.random.default_rng(17)
+    for k in range(30):
+        g = _random_connected_graph(rng, int(rng.integers(3, 8)))
+        ps = np.sort(rng.uniform(0.05, 0.95, 5))
+        costs = ({"alpha": 1.5}, {"omega": 2.0}, {"alpha": 2.0, "omega": 3.0})[k % 3]
+        _assert_optima_stack_matches(g, [reach_exact(g, p) for p in ps], ps, **costs)
+
+
+# At max_iter=2 with alpha = 1.5 and omega = 2 no start converges at
+# p = 0.2 or 0.3 on this graph; at 0.1, 0.5 and 0.9 some start does.
+SEVEN_NODE = "0 1\n0 4\n0 5\n1 2\n1 3\n1 4\n2 3\n3 4\n3 6\n4 6\n"
+
+
+def test_stacked_optimum_reports_the_lowest_failing_point():
+    g = load_edge_list(SEVEN_NODE)
+    ps = [0.1, 0.3, 0.5, 0.2, 0.9]
+    disses = [reach_exact(g, p) for p in ps]
+    options = {"alpha": 1.5, "omega": 2.0, "max_iter": 2}
+    each = [_solve_optima(g, diss, p, **options) for diss, p in zip(disses, ps)]
+    assert [isinstance(result, tuple) for result in each] == [False, True, False, True, False]
+    assert each[1] == (None, "no projected-gradient start converged within 2 iterations "
+                       "(8 starts attempted)", 2)
+    assert _solve_optima(g, disses, ps, **options) == (1,) + each[1][1:]
+    assert _solve_optima(g, disses[2:], ps[2:], **options) == (1,) + each[3][1:]
+    assert isinstance(_solve_optima(g, disses[::2], ps[::2], **options), list)
+
+
+def test_stacked_optimum_checks_its_sequences():
+    g = star_graph(4)
+    diss = _closed_diss(g, 0.5)
+    with pytest.raises(ValueError, match="as many parameter sets"):
+        social_optimum_numeric(g, [diss, diss], [Params(0.5, 1.0, 1.0)])
+    with pytest.raises(ValueError, match="at least one"):
+        social_optimum_numeric(g, [], [])
+    with pytest.raises(ValueError, match="disagree"):
+        social_optimum_numeric(g, [diss, _closed_diss(star_graph(5), 0.5)], [Params(0.5)] * 2)
+    with pytest.raises(ValueError, match="share alpha and omega"):
+        social_optimum_numeric(g, [diss, diss], [Params(0.5), Params(0.5, alpha=2.0)])
 
 
 def _grid_welfare(qs, docs, alpha, omega):
