@@ -11,13 +11,8 @@ _WIDTH, _HEIGHT = 640, 420
 _MARGIN = {"left": 60, "right": 150, "top": 30, "bottom": 45}
 
 
-def render_line_chart(
-    xs,
-    series: dict[str, list[float]],
-    title: str = "",
-    x_label: str = "p",
-) -> str:
-    """Render named series over a shared x axis as an SVG document."""
+def render_line_chart(xs, series: dict[str, list[float]], title: str = "") -> str:
+    """Render named series over a shared x axis, labelled p, as an SVG document."""
     xs = list(xs)
     if not xs or not series:
         raise ValueError("need at least one x value and one series")
@@ -75,7 +70,7 @@ def render_line_chart(
         )
     parts.append(
         f'<text x="{_MARGIN["left"] + plot_w / 2:.1f}" y="{_HEIGHT - 8}" '
-        f'text-anchor="middle">{x_label}</text>'
+        'text-anchor="middle">p</text>'
     )
     for idx, (name, ys) in enumerate(series.items()):
         color = _PALETTE[idx % len(_PALETTE)]

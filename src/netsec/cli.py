@@ -182,15 +182,15 @@ def _equilibrium_q(g: Graph, diss, params: Params, regime: str, numeric: bool):
     if regime == game.NASH_STRATEGIC:
         if closed_ok:
             return game.nash_strategic_vt(docs, n, params.alpha, params.omega)
-        return game.best_response_dynamics(g, diss, params).q
+        return game.best_response_dynamics(diss, params).q
     if closed_ok:
         return game.social_optimum_strategic_vt(docs, n, params.alpha)
-    return game.social_optimum_numeric(g, diss, params).q
+    return game.social_optimum_numeric(diss, params).q
 
 
 def _cmd_equilibrium(args) -> str:
     g = _resolve_graph(args)
-    params = Params(args.p, args.alpha, args.omega)
+    params = Params(args.alpha, args.omega)
     diss = _resolve_dissemination(g, args.p, args)
     q = _equilibrium_q(g, diss, params, args.regime, args.numeric)
     outcome = game.evaluate_outcome(diss, params, q, args.regime)
@@ -213,26 +213,27 @@ def _regime_profiles(g: Graph, grid, args):
     """Investments under each of game.REGIMES, in order, at every grid point
     of a star or custom graph.
 
-    Points are solved in grid order, in blocks whose stacked reach matrices
-    fit in _SWEEP_BLOCK_BYTES; each block's strategic equilibria come from
-    one stacked best-response call and its social optima from one stacked
+    One Params holds the command's costs for every point.  Points are
+    solved in grid order, in blocks whose stacked reach matrices fit in
+    _SWEEP_BLOCK_BYTES; each block's strategic equilibria come from one
+    stacked best-response call and its social optima from one stacked
     call.  A solver failure names its p, and it is the failure a
     point-by-point sweep would have met first.
     """
+    params = Params(args.alpha, args.omega)
     block = max(1, _SWEEP_BLOCK_BYTES // (8 * g.n * g.n))
     profiles = []
     for first in range(0, len(grid), block):
         points = grid[first : first + block]
-        params = [Params(p, args.alpha, args.omega) for p in points]
         disses = [_resolve_dissemination(g, p, args) for p in points]
         try:
-            nash, failed = game.best_response_dynamics(g, disses, params), None
+            nash, failed = game.best_response_dynamics(disses, params), None
         except NonConvergenceError as exc:
             nash, failed = None, exc
         # Point by point, the optima below a failed equilibrium come first.
         solved = len(points) if failed is None else failed.index
         try:
-            optima = solved and game.social_optimum_numeric(g, disses[:solved], params[:solved])
+            optima = solved and game.social_optimum_numeric(disses[:solved], params)
         except NonConvergenceError as exc:
             failed = exc
         if failed is not None:
@@ -245,7 +246,7 @@ def _regime_profiles(g: Graph, grid, args):
 
 def _cmd_sweep_investments(args) -> str:
     g = _resolve_graph(args)
-    Params(0.0, args.alpha, args.omega)  # checks the costs before any grid point
+    Params(args.alpha, args.omega)  # checks the costs before any grid point
     grid = _parse_grid(args.p_grid)
     n = g.n
     if _vt_closed_forms(g, args):

@@ -33,6 +33,10 @@ MAX_EXACT_AGENTS = 12
 MAX_EXACT_EDGES = 22
 
 _MC_CHUNK = 50_000
+# Uniforms drawn per Monte Carlo chunk: graphs of up to 64 edges keep
+# _MC_CHUNK spreads a chunk, denser ones take fewer, so a chunk's draw
+# stays near 26 MB whatever the edge count.
+_MC_DRAWS = 64 * _MC_CHUNK
 # Masks labelled per enumeration step; larger chunks buy little speed for
 # megabytes of peak memory.
 _ENUM_CHUNK = 2048
@@ -46,18 +50,17 @@ _ROW_BLOCK = 256
 
 @dataclass(frozen=True)
 class Params:
-    """Game parameters: transmission probability and cost coefficients.
+    """Game cost coefficients.
 
     alpha scales the defenders' quadratic cost, omega the attacker's; both
-    must be >= 1, which the equilibrium boundary arguments rely on.
+    must be >= 1, which the equilibrium boundary arguments rely on.  The
+    network and p reach the game only through a Dissemination.
     """
 
-    p: float
     alpha: float = 1.0
     omega: float = 1.0
 
     def __post_init__(self):
-        _check_p(self.p)
         _check_cost("alpha", self.alpha)
         _check_cost("omega", self.omega)
 
@@ -371,6 +374,7 @@ def complete_pair_bounds(n: int, p: float) -> tuple[float, float]:
 
 def ring_pair_reach(n: int, p: float, dist: int) -> float:
     """Reach probability on a ring between agents `dist` edges apart."""
+    _check_p(p)
     if dist == 0:
         return 1.0
     return p**dist + p ** (n - dist) - p**n
@@ -382,11 +386,13 @@ def ring_docs(n: int, p: float) -> float:
     The rational form has a removable singularity at p=1; the polynomial
     1 + 2*sum(p**l) - (n-1)*p**n does not.
     """
+    _check_p(p)
     return 1.0 + 2.0 * sum(p**ell for ell in range(1, n)) - (n - 1) * p**n
 
 
 def star_docs(n: int, p: float) -> tuple[float, float]:
     """(hub, leaf) expected documents on a star."""
+    _check_p(p)
     return 1.0 + (n - 1) * p, 1.0 + p + (n - 2) * p**2
 
 
@@ -397,7 +403,6 @@ def complete_docs(n: int, p: float) -> float:
 
 def topology_docs(topology: str, n: int, p: float) -> np.ndarray:
     """Per-agent expected documents for a named topology family."""
-    _check_p(p)
     if topology == RING:
         if n < 3:
             raise ValueError("ring needs n >= 3")
@@ -453,8 +458,10 @@ def reach_monte_carlo(
     its set of surviving edges, so when the 2**m possible sets are no more
     than the spreads in a chunk, the chunk's repeated sets are counted and
     each distinct one is labelled once; larger graphs label every spread.
-    Either way the integer counts are the same.  One RNG stream, read in
-    order, keeps estimates reproducible and independent of the chunk size.
+    Either way the integer counts are the same.  A chunk draws at most
+    _MC_DRAWS uniforms, so dense graphs take fewer spreads a chunk.  One RNG
+    stream, read in order, keeps estimates reproducible and independent of
+    the chunk size.
     std_err holds the binomial standard error of each entry.
     """
     _check_p(p)
@@ -466,8 +473,9 @@ def reach_monte_carlo(
     spreads = 2 * samples
     rng = np.random.default_rng(seed & (2**64 - 1))
     counts = np.zeros((n, n))
-    for start in range(0, spreads, _MC_CHUNK):
-        present = rng.random((min(_MC_CHUNK, spreads - start), m)) < p
+    chunk = max(1, min(_MC_CHUNK, _MC_DRAWS // max(m, 1)))
+    for start in range(0, spreads, chunk):
+        present = rng.random((min(chunk, spreads - start), m)) < p
         weight = None
         if 1 << m <= len(present):
             mult = np.bincount(present @ (1 << bits), minlength=1 << m)

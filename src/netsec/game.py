@@ -9,10 +9,11 @@ projected Newton ascent on welfare.  An agent's reward is piecewise
 quadratic in its own investment, one piece per attacker active set, with
 upward kinks between pieces: best responses walk those pieces exactly,
 and a pure strategic equilibrium need not exist.  Both iterative solvers
-also take a stack of points, such as a p grid, and solve them together.
-They check their inputs once on entry; welfare and rewards come from the
-unchecked row-wise water-fill kernel `_water_fill`, which takes a whole
-stack of rows in one call.
+take a Dissemination, or a stack of them such as a p grid solved
+together, and the cost coefficients in Params.  They check their inputs
+once on entry; welfare and rewards come from the unchecked row-wise
+water-fill kernel `_water_fill`, which takes a whole stack of rows in
+one call.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .dissemination import (
     ring_docs,
     star_docs,
 )
-from .graph import COMPLETE, RING, Graph
+from .graph import COMPLETE, RING
 
 NASH_RANDOM = "nash-random"
 OPT_RANDOM = "opt-random"
@@ -142,21 +143,22 @@ def _is_homogeneous(docs) -> bool:
 
 
 def _homogeneous_docs(docs, n: int | None) -> tuple[float, int]:
+    """The document count d in [1, n] that every agent expects, and n."""
     arr = np.atleast_1d(np.asarray(docs, dtype=float))
-    if arr.size > 1:
-        if not _is_homogeneous(arr):
-            raise ValueError(
-                "expected-document entries differ; this closed form only "
-                "applies when all agents expect the same count"
-            )
-        if n is None:
-            n = arr.size
-        elif n != arr.size:
-            raise ValueError(f"docs has length {arr.size} but n={n}")
-        return float(arr.mean()), n
     if n is None:
-        raise ValueError("n is required when docs is a scalar")
-    return float(arr[0]), n
+        if arr.size == 1:
+            raise ValueError("n is required when docs is a scalar")
+        n = arr.size
+    elif arr.size > 1 and n != arr.size:
+        raise ValueError(f"docs has length {arr.size} but n={n}")
+    if not ((arr >= 1.0 - 1e-9) & (arr <= n + 1e-9)).all():  # NaN fails too
+        raise ValueError(f"expected documents must lie in [1, {n}], got {docs}")
+    if not _is_homogeneous(arr):
+        raise ValueError(
+            "expected-document entries differ; this closed form only "
+            "applies when all agents expect the same count"
+        )
+    return float(arr.mean()), n
 
 
 def social_optimum_strategic_vt(docs, n: int | None = None, alpha: float = 1.0) -> np.ndarray:
@@ -289,26 +291,21 @@ def _nash_gap(q, docs, reach, alpha, omega):
     return gains[np.arange(rows), agents], agents
 
 
-def _stack_points(g, diss, params):
-    """Checked points of a solve given one point or equal-length sequences:
-    (single, disses, params, alpha, omega)."""
+def _stack_points(diss):
+    """The checked points of a solve given one Dissemination or a sequence:
+    (single, disses)."""
     single = isinstance(diss, Dissemination)
-    disses, points = ([diss], [params]) if single else (list(diss), list(params))
-    if not disses or len(disses) != len(points):
-        raise ValueError("needs as many parameter sets as disseminations, at least one")
-    if any(d.n != g.n for d in disses):
-        raise ValueError("graph and dissemination disagree on the number of agents")
-    costs = {(p.alpha, p.omega) for p in points}
-    if len(costs) > 1:
-        raise ValueError("stacked points must share alpha and omega")
-    ((alpha, omega),) = costs
-    return single, disses, points, alpha, omega
+    disses = [diss] if single else list(diss)
+    if not disses:
+        raise ValueError("needs at least one dissemination")
+    if len({d.n for d in disses}) > 1:
+        raise ValueError("stacked disseminations disagree on the number of agents")
+    return single, disses
 
 
 def best_response_dynamics(
-    g: Graph,
     diss: Dissemination | Sequence[Dissemination],
-    params: Params | Sequence[Params],
+    params: Params,
     q0=None,
     tol: float = 1e-8,
     max_iter: int = 500,
@@ -332,27 +329,28 @@ def best_response_dynamics(
     from.  The first cycle only switches to plain sweeps; a second ends the
     iteration.
 
-    `diss` and `params` may instead be equal-length sequences, one entry
-    per point (a p grid, say), on the same graph, with the same alpha and
-    omega and from the same start q0; a ValueError says if they are not
-    equal in length or share no costs.  The points' GameOutcomes come
-    back as a list in input order.  Each sweep takes one stacked
-    best-response call per agent over the points still iterating, while
-    the extrapolation history, restarts, cycle detection and certificate
-    stay per point, so every point gets the bytes a call with it alone
-    would.  If any point fails, the NonConvergenceError raised is the one
-    the lowest failing point raises alone, with that point's position as
-    `index` (None when a single point was given); points above a failed
-    one stop early.  The solve copies the points' n x n reach matrices
-    into one array, 8 n^2 bytes a point on top of the inputs, so callers
-    bound the number of points: the CLI sweeps pass blocks of 16 MB.
+    `diss` may instead be a sequence of disseminations, one per point (a
+    p grid, say), with the same number of agents, solved with the same
+    `params` from the same start q0; a ValueError says if the sequence is
+    empty or the counts differ.  The points' GameOutcomes come back as a
+    list in input order.  Each sweep takes one stacked best-response call
+    per agent over the points still iterating, while the extrapolation
+    history, restarts, cycle detection and certificate stay per point, so
+    every point gets the bytes a call with it alone would.  If any point
+    fails, the NonConvergenceError raised is the one the lowest failing
+    point raises alone, with that point's position as `index` (None when a
+    single point was given); points above a failed one stop early.  The
+    solve copies the points' n x n reach matrices into one array, 8 n^2
+    bytes a point on top of the inputs, so callers bound the number of
+    points: the CLI sweeps pass blocks of 16 MB.
     """
     if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    single, disses, points, alpha, omega = _stack_points(g, diss, params)
-    n, rows = g.n, len(disses)
+    single, disses = _stack_points(diss)
+    alpha, omega = params.alpha, params.omega
+    n, rows = disses[0].n, len(disses)
     docs = np.array([d.expected_docs for d in disses], dtype=float)
 
     def stack(which):  # docs and reach of these points, one row each
@@ -427,7 +425,7 @@ def best_response_dynamics(
                 iterations=sweeps[b],
                 index=None if single else b,
             )
-    outcomes = [evaluate_outcome(d, p, q, NASH_STRATEGIC) for d, p, q in zip(disses, points, last)]
+    outcomes = [evaluate_outcome(d, params, q, NASH_STRATEGIC) for d, q in zip(disses, last)]
     return outcomes[0] if single else outcomes
 
 
@@ -473,23 +471,21 @@ def _newton_direction(grad, free, active, docs, alpha, omega):
     return m_grad + m_u * shift[:, None]
 
 
-_STARTS = 8  # uniform 0.1, 0.5 and 0.9, then five seeded random starts
+_STARTS = 8  # uniform 0.1, 0.5 and 0.9, then five random starts from seed 0
 _SLOTS = np.arange(8)  # line-search steps a row may try in one round
 _HALVINGS = 0.5**_SLOTS
 
 
 def social_optimum_numeric(
-    g: Graph,
     diss: Dissemination | Sequence[Dissemination],
-    params: Params | Sequence[Params],
+    params: Params,
     tol: float = 1e-8,
     max_iter: int = 20_000,
-    seed: int = 0,
 ) -> GameOutcome | list[GameOutcome]:
     """Welfare maximization over investments by projected Newton ascent.
 
-    Runs from uniform starts {0.1, 0.5, 0.9} plus five seeded random
-    starts.  Each iteration takes the Newton direction of the current
+    Runs from uniform starts {0.1, 0.5, 0.9} plus five random starts drawn
+    from seed 0.  Each iteration takes the Newton direction of the current
     active-set region's quadratic on the coordinates not held at a bound
     of [0, 1]^n, and halves the step from 1 until the box-projected trial
     passes the Armijo test W(trial) >= W(q) + 1e-4 g'(trial - q) (Bertsekas,
@@ -503,19 +499,19 @@ def social_optimum_numeric(
     running row's trials in one kernel call: a row tries at once as many
     halvings as its last line search needed and takes the first that
     passes, so each row takes the path, and gets the bytes, it would alone.
-    Like `best_response_dynamics`, `diss` and `params` may be equal-length
-    sequences of points that share alpha and omega; all their starts join
-    the stack, the GameOutcomes come back as a list in input order, and a
-    failure raises the lowest failing point's NonConvergenceError with that
-    point's position as `index` (None when a single point was given).
+    Like `best_response_dynamics`, `diss` may be a sequence of points solved
+    with the same `params`; all their starts join the stack, the
+    GameOutcomes come back as a list in input order, and a failure raises
+    the lowest failing point's NonConvergenceError with that point's
+    position as `index` (None when a single point was given).
     """
     if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
-    single, disses, points, alpha, omega = _stack_points(g, diss, params)
-    n = g.n
+    single, disses = _stack_points(diss)
+    alpha, omega, n = params.alpha, params.omega, disses[0].n
     docs = np.repeat(np.array([d.expected_docs for d in disses], dtype=float), _STARTS, axis=0)
     ref_step = 1.0 / (alpha + 2.0 * docs.max(axis=1) ** 2 / omega)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     starts = np.vstack([np.full((3, n), [[0.1], [0.5], [0.9]]), rng.random((_STARTS - 3, n))])
     rows, q = len(disses) * _STARTS, np.tile(starts, (len(disses), 1))
     value, grad, active = _welfare_and_gradient(q, docs, alpha, omega)
@@ -576,8 +572,8 @@ def social_optimum_numeric(
         )
     best = welfare.argmax(axis=1)
     outcomes = [
-        evaluate_outcome(d, p, best_q[b * _STARTS + best[b]], OPT_STRATEGIC)
-        for b, (d, p) in enumerate(zip(disses, points))
+        evaluate_outcome(d, params, best_q[b * _STARTS + best[b]], OPT_STRATEGIC)
+        for b, d in enumerate(disses)
     ]
     return outcomes[0] if single else outcomes
 
@@ -592,9 +588,7 @@ def unique_crossover_condition(docs_value: float, n: int, alpha: float) -> bool:
     Literal evaluation of 2 (n - d) d >= (n - 2 d)(alpha n - 1); always
     true once d >= n/2 since the right side is then non-positive.
     """
-    d = float(docs_value)
-    if not 1.0 - 1e-9 <= d <= n + 1e-9:
-        raise ValueError(f"docs must lie in [1, n], got {d}")
+    d = _homogeneous_docs(docs_value, n)[0]
     return 2.0 * (n - d) * d >= (n - 2.0 * d) * (alpha * n - 1.0)
 
 

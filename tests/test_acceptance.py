@@ -238,11 +238,11 @@ def test_criterion_7_iterative_vs_closed_form():
         g = build_topology(kind, 5)
         for p in P_GRID:
             diss = reach_closed_form(g, p)
-            params = Params(p, 1.0, 1.0)
-            nash = best_response_dynamics(g, diss, params)
+            params = Params()
+            nash = best_response_dynamics(diss, params)
             expected_nash = nash_strategic_vt(diss.expected_docs, 5, 1.0, 1.0)
             assert np.abs(nash.q - expected_nash).max() <= 1e-5
-            opt = social_optimum_numeric(g, diss, params)
+            opt = social_optimum_numeric(diss, params)
             expected_opt = social_optimum_strategic_vt(diss.expected_docs, alpha=1.0)
             assert np.abs(opt.q - expected_opt).max() <= 1e-5
     assert time.perf_counter() - start < 60.0

@@ -294,6 +294,16 @@ def test_edges_with_named_graph_exits_2(capsys, tmp_path, argv, named):
     assert err == "netsec: --edges gives the whole graph; drop --topology and --n\n"
 
 
+@pytest.mark.parametrize("method", ["closed", "exact", "mc"])
+def test_equilibrium_refuses_p_out_of_range(capsys, method):
+    # Params holds no p; each dissemination route checks it.
+    code, out, err = run_cli(
+        capsys, "equilibrium", "--regime", "nash-strategic", "--topology", "ring",
+        "--n", "5", "--p", "1.5", "--method", method,
+    )
+    assert (code, out, err) == (2, "", "netsec: transmission probability must be in [0, 1], got 1.5\n")
+
+
 def test_nonconvergence_maps_to_exit_3(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise NonConvergenceError("forced")
@@ -382,7 +392,7 @@ def test_strategic_equilibrium_on_monte_carlo_ring_uses_iterative_solver(capsys,
     assert code == 0, err
     g = ring_graph(5)
     diss = disseminate(g, 0.5, "mc", samples=1000, seed=0)
-    expected = solver(g, diss, Params(0.5, 1.0, 1.0)).q
+    expected = solver(diss, Params()).q
     rows = [line.split(",") for line in parse_csv_block(out)[1:6]]
     assert [row[1] for row in rows] == [cli._fmt(x) for x in expected]
 
@@ -436,9 +446,9 @@ def test_star_sweep_in_blocks_matches_one_block(capsys, monkeypatch, tmp_path):
     def counting(name):
         real = getattr(game, name)
 
-        def solve(g, disses, params, **kwargs):
+        def solve(disses, params, **kwargs):
             stacks[name].append(len(disses))
-            return real(g, disses, params, **kwargs)
+            return real(disses, params, **kwargs)
 
         return solve
 

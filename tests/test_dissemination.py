@@ -116,7 +116,7 @@ def closure_reach(n, edges, p):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("kwargs", [
-    {"p": -0.1}, {"p": 1.2}, {"p": 0.5, "alpha": 0.5}, {"p": 0.5, "omega": 0.99},
+    {"alpha": float("nan")}, {"omega": float("inf")}, {"alpha": 0.5}, {"omega": 0.99},
 ])
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
@@ -124,8 +124,17 @@ def test_params_validation(kwargs):
 
 
 def test_params_accepts_boundaries():
-    Params(0.0, 1.0, 1.0)
-    Params(1.0, 3.0, 2.0)
+    assert Params() == Params(1.0, 1.0)
+    Params(3.0, 2.0)
+
+
+def test_params_holds_only_costs():
+    # p reaches the game through a Dissemination; a call that still passes
+    # p first fails instead of shifting it into a cost.
+    with pytest.raises(TypeError):
+        Params(0.5, 1.0, 1.0)
+    with pytest.raises(ValueError, match="alpha"):
+        Params(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +461,23 @@ def test_monte_carlo_labels_every_spread_above_threshold(monkeypatch):
     batches = _counting_labels(monkeypatch)
     reach_monte_carlo(ring_graph(20), 0.5, 1000, seed=5)
     assert sum(present.shape[0] for present in batches) == 2 * 1000
+
+
+@pytest.mark.parametrize("budget", [28 * 30, 20])
+def test_monte_carlo_chunks_bounded_by_draws(monkeypatch, budget):
+    # A chunk draws m uniforms a spread and at most _MC_DRAWS in all, so a
+    # dense graph takes fewer spreads a chunk, and at least one; the stream
+    # read in order keeps the estimate of the default 50 000-spread chunk.
+    g = complete_graph(8)
+    full = reach_monte_carlo(g, 0.3, 100, seed=7)
+    batches = _counting_labels(monkeypatch)
+    monkeypatch.setattr(diss_mod, "_MC_DRAWS", budget)
+    small = reach_monte_carlo(g, 0.3, 100, seed=7)
+    assert np.array_equal(small.reach, full.reach)
+    assert np.array_equal(small.std_err, full.std_err)
+    rows = max(1, budget // g.edge_count)
+    assert max(present.shape[0] for present in batches) <= rows
+    assert sum(present.shape[0] for present in batches) == 2 * 100
 
 
 def per_spread_monte_carlo(g, p, samples, seed, chunk):

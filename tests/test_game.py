@@ -10,7 +10,9 @@ from netsec.dissemination import (
     complete_pair_bounds,
     reach_closed_form,
     reach_exact,
+    reach_monte_carlo,
     ring_docs,
+    ring_pair_reach,
     star_docs,
 )
 from netsec.game import (
@@ -56,6 +58,39 @@ def test_social_optimum_random_star_formulas():
 def test_social_optimum_random_p_zero_matches_nash():
     docs = np.ones(6)
     assert np.array_equal(social_optimum_random(docs, 1.5), nash_random(6, 1.5))
+
+
+# Dissemination routes and closed forms that take p, and closed forms that
+# take a common document count d in [1, n], here with n = 5.
+BY_P = {
+    "reach_exact": lambda p: reach_exact(ring_graph(5), p),
+    "reach_closed_form": lambda p: reach_closed_form(star_graph(5), p),
+    "reach_monte_carlo": lambda p: reach_monte_carlo(ring_graph(5), p, 10),
+    "star_docs": lambda p: star_docs(5, p),
+    "ring_docs": lambda p: ring_docs(5, p),
+    "ring_pair_reach": lambda p: ring_pair_reach(5, p, 2),
+    "ring_pair_reach_self": lambda p: ring_pair_reach(5, p, 0),
+    "investment_gap": lambda p: investment_gap("ring", 5, p, 1.0, 1.0),
+    "star_sacrificial_lamb": lambda p: star_sacrificial_lamb(5, p, 1.0, 1.0),
+    "star_uniform_attack_strategy": lambda p: star_uniform_attack_strategy(5, p, 1.0),
+}
+BY_DOCS = {
+    "nash_strategic_vt": lambda d: nash_strategic_vt(d, 5),
+    "nash_strategic_vt_vector": lambda d: nash_strategic_vt(np.full(5, d)),
+    "social_optimum_strategic_vt": lambda d: social_optimum_strategic_vt(d, 5),
+    "unique_crossover_condition": lambda d: unique_crossover_condition(d, 5, 1.0),
+}
+
+
+@pytest.mark.parametrize("call, value, message", [
+    *[(name, p, "transmission probability") for name in BY_P for p in (-0.1, 1.5, np.nan)],
+    *[(name, d, "expected documents") for name in BY_DOCS for d in (0.5, 6.0, np.nan)],
+])
+def test_closed_forms_reject_out_of_range_inputs(call, value, message):
+    # Out of range, the formulas return numbers that mean nothing: a
+    # negative centre investment, or docs of -731 on a ring at p = 3.
+    with pytest.raises(ValueError, match=message):
+        {**BY_P, **BY_DOCS}[call](value)
 
 
 def test_social_optimum_random_complete_large_p():
@@ -159,8 +194,8 @@ def _closed_diss(g, p):
 def test_brd_matches_closed_form(build):
     g = build(5)
     diss = _closed_diss(g, 0.5)
-    params = Params(0.5, 1.0, 1.0)
-    out = best_response_dynamics(g, diss, params, q0=np.full(5, 0.5))
+    params = Params()
+    out = best_response_dynamics(diss, params, q0=np.full(5, 0.5))
     expected = nash_strategic_vt(diss.expected_docs, 5, 1.0, 1.0)
     assert np.abs(out.q - expected).max() < 1e-6
     assert out.regime == "nash-strategic"
@@ -169,9 +204,9 @@ def test_brd_matches_closed_form(build):
 def test_brd_start_independence_on_vt():
     g = ring_graph(5)
     diss = _closed_diss(g, 0.4)
-    params = Params(0.4, 1.0, 1.0)
-    out_low = best_response_dynamics(g, diss, params, q0=np.full(5, 0.05))
-    out_high = best_response_dynamics(g, diss, params, q0=np.full(5, 0.95))
+    params = Params()
+    out_low = best_response_dynamics(diss, params, q0=np.full(5, 0.05))
+    out_high = best_response_dynamics(diss, params, q0=np.full(5, 0.95))
     assert np.abs(out_low.q - out_high.q).max() < 1e-6
 
 
@@ -179,8 +214,8 @@ def test_brd_no_profitable_unilateral_deviation():
     g = star_graph(5)
     p = 0.6
     diss = _closed_diss(g, p)
-    params = Params(p, 1.0, 1.0)
-    out = best_response_dynamics(g, diss, params, tol=1e-10)
+    params = Params()
+    out = best_response_dynamics(diss, params, tol=1e-10)
     docs, reach = diss.expected_docs, diss.reach
 
     def reward(i, q):
@@ -258,7 +293,7 @@ def test_brd_refuses_non_equilibrium():
     g = load_edge_list(FIVE_NODE)
     p = 0.6413
     diss = reach_exact(g, p)
-    out = best_response_dynamics(g, diss, Params(p, 1.0, 1.0))
+    out = best_response_dynamics(diss, Params())
     docs, reach = diss.expected_docs, diss.reach
     grid = np.linspace(0.0, 1.0, 100_001)
     for i in range(5):
@@ -271,7 +306,7 @@ def test_brd_refuses_non_equilibrium():
 def test_brd_stops_on_repeated_profile(p):
     g = load_edge_list(SIX_NODE)
     with pytest.raises(NonConvergenceError, match="repeats the profile") as err:
-        best_response_dynamics(g, reach_exact(g, p), Params(p, 1.0, 1.0))
+        best_response_dynamics(reach_exact(g, p), Params())
     assert err.value.iterations < 500
     assert err.value.residual > 1e-8  # the Nash gap at the last profile
     assert err.value.last_q.shape == (6,)
@@ -283,11 +318,11 @@ def test_brd_kernel_budget(monkeypatch):
     # stacked calls whatever the number of points.
     calls = _record_fills(monkeypatch)
     g = star_graph(20)
-    best_response_dynamics(g, _closed_diss(g, 0.9), Params(0.9, 1.0, 1.0))
+    best_response_dynamics(_closed_diss(g, 0.9), Params())
     assert sum(map(len, calls)) <= 2 * g.n
     calls.clear()
     grid = [0.3, 0.6, 0.9]
-    best_response_dynamics(g, [_closed_diss(g, p) for p in grid], [Params(p) for p in grid])
+    best_response_dynamics([_closed_diss(g, p) for p in grid], Params())
     assert sum(map(len, calls)) <= 2 * g.n * len(grid)
     assert len(calls) == g.n + 1
 
@@ -305,12 +340,12 @@ def test_brd_sweep_budget(monkeypatch):
 
     monkeypatch.setattr(game, "_best_response", counting)
     g = star_graph(20)
-    best_response_dynamics(g, _closed_diss(g, 0.9), Params(0.9, 1.0, 1.0))
+    best_response_dynamics(_closed_diss(g, 0.9), Params())
     assert len(calls) <= 30 * g.n
     # A stack of points shares each call, so the budget holds for it too.
     calls.clear()
     ps = (0.5, 0.7, 0.9)
-    best_response_dynamics(g, [_closed_diss(g, p) for p in ps], [Params(p) for p in ps])
+    best_response_dynamics([_closed_diss(g, p) for p in ps], Params())
     assert len(calls) <= 30 * g.n
 
 
@@ -352,7 +387,7 @@ def test_brd_certifies_star_equilibria(n, p):
     # 60-stars at p = 0.9 and stalled on the 120-star.
     oracle, diss = _star_oracle(n, p)
     assert _nash_gap(oracle, diss) <= 1e-8
-    out = best_response_dynamics(star_graph(n), diss, Params(p, 1.0, 1.0))
+    out = best_response_dynamics(diss, Params())
     assert np.abs(out.q - oracle).max() <= 1e-7
 
 
@@ -361,14 +396,14 @@ def test_brd_falls_back_to_plain_sweeps_after_a_cycle():
     # the repeated profile certify an equilibrium.
     g = load_edge_list("0 1\n0 6\n1 2\n1 5\n1 6\n2 3\n3 4\n3 5\n4 5\n4 6\n5 6\n")
     diss = reach_exact(g, 0.7)
-    out = best_response_dynamics(g, diss, Params(0.7, 1.0, 1.0))
+    out = best_response_dynamics(diss, Params())
     assert _nash_gap(out.q, diss) <= 1e-8
 
 
 def test_brd_reports_exhausted_sweeps():
     g = star_graph(20)
     with pytest.raises(NonConvergenceError, match="no convergence in 3 sweeps") as err:
-        best_response_dynamics(g, _closed_diss(g, 0.9), Params(0.9, 1.0, 1.0), max_iter=3)
+        best_response_dynamics(_closed_diss(g, 0.9), Params(), max_iter=3)
     assert err.value.iterations == 3
 
 
@@ -377,7 +412,7 @@ def test_brd_reports_exhausted_sweeps():
 def test_iterative_solvers_reject_non_positive_tol(solver, tol):
     g = ring_graph(5)
     with pytest.raises(ValueError, match="tol must be positive"):
-        solver(g, _closed_diss(g, 0.5), Params(0.5, 1.0, 1.0), tol=tol)
+        solver(_closed_diss(g, 0.5), Params(), tol=tol)
 
 
 def test_brd_star_curve_shape():
@@ -387,7 +422,7 @@ def test_brd_star_curve_shape():
     grid = np.linspace(0.0, 1.0, 21)
     center = []
     for p in grid:
-        out = best_response_dynamics(g, _closed_diss(g, p), Params(p, 1.0, 1.0))
+        out = best_response_dynamics(_closed_diss(g, p), Params())
         center.append(out.q[0])
     assert abs(center[-1] - 0.2) < 1e-6
     diffs = [d for d in np.diff(center) if abs(d) > 1e-8]
@@ -400,7 +435,7 @@ def test_brd_nonconvergence_error_payload():
     g = ring_graph(5)
     diss = _closed_diss(g, 0.5)
     with pytest.raises(NonConvergenceError) as err:
-        best_response_dynamics(g, diss, Params(0.5, 1.0, 1.0), max_iter=1, tol=1e-14)
+        best_response_dynamics(diss, Params(), max_iter=1, tol=1e-14)
     assert err.value.last_q is not None
     assert err.value.residual > 0
 
@@ -414,12 +449,12 @@ def test_brd_nonconvergence_error_payload():
 def test_brd_rejects_bad_start(q0):
     g = ring_graph(4)
     with pytest.raises(ValueError, match="investments"):
-        best_response_dynamics(g, _closed_diss(g, 0.5), Params(0.5, 1.0, 1.0), q0=q0)
+        best_response_dynamics(_closed_diss(g, 0.5), Params(), q0=q0)
 
 
 def test_brd_welfare_equals_reward_sum():
     g = ring_graph(5)
-    out = best_response_dynamics(g, _closed_diss(g, 0.3), Params(0.3, 1.0, 1.0))
+    out = best_response_dynamics(_closed_diss(g, 0.3), Params())
     assert abs(out.welfare - out.rewards.sum()) <= 1e-9
 
 
@@ -435,13 +470,13 @@ def _random_connected_graph(rng, n):
     return load_edge_list("".join(f"{u} {v}\n" for u, v in sorted(edges)))
 
 
-def _solve_each(g, disses, ps, **options):
+def _solve_each(disses, **options):
     """Per-point results up to the first failing point: q bytes, or the
     error's (message, residual, iterations, last_q bytes)."""
     results = []
-    for diss, p in zip(disses, ps):
+    for diss in disses:
         try:
-            out = best_response_dynamics(g, diss, Params(p, 1.0, 1.0), **options)
+            out = best_response_dynamics(diss, Params(), **options)
         except NonConvergenceError as exc:
             assert exc.index is None
             return results + [(str(exc), exc.residual, exc.iterations, exc.last_q.tobytes())]
@@ -449,20 +484,20 @@ def _solve_each(g, disses, ps, **options):
     return results
 
 
-def _solve_stacked(g, disses, ps, **options):
+def _solve_stacked(disses, **options):
     """A stacked solve: every point's q bytes, or (index, error as above)."""
     try:
-        outs = best_response_dynamics(g, disses, [Params(p, 1.0, 1.0) for p in ps], **options)
+        outs = best_response_dynamics(disses, Params(), **options)
     except NonConvergenceError as exc:
         return exc.index, (str(exc), exc.residual, exc.iterations, exc.last_q.tobytes())
     assert all(out.regime == "nash-strategic" for out in outs)
     return [out.q.tobytes() for out in outs]
 
 
-def _assert_stack_matches(g, disses, ps, **options):
+def _assert_stack_matches(disses, **options):
     """Compare a stacked solve with per-point calls; whether a point failed."""
-    each = _solve_each(g, disses, ps, **options)
-    stacked = _solve_stacked(g, disses, ps, **options)
+    each = _solve_each(disses, **options)
+    stacked = _solve_stacked(disses, **options)
     if isinstance(each[-1], tuple):
         assert stacked == (len(each) - 1, each[-1])
         return True
@@ -479,7 +514,7 @@ def test_stacked_brd_matches_per_point_calls_on_random_graphs():
         g = _random_connected_graph(rng, int(rng.integers(3, 8)))
         ps = np.sort(rng.uniform(0.05, 0.95, 5))
         disses = [reach_exact(g, p) for p in ps]
-        failing += _assert_stack_matches(g, disses, ps, max_iter=100)
+        failing += _assert_stack_matches(disses, max_iter=100)
     assert 0 < failing < 30  # both outcomes are covered
 
 
@@ -487,7 +522,7 @@ def test_stacked_brd_matches_per_point_calls_on_random_graphs():
 def test_stacked_brd_matches_per_point_calls_on_stars(n):
     g = star_graph(n)
     grid = np.linspace(0.0, 1.0, 21)
-    assert not _assert_stack_matches(g, [_closed_diss(g, p) for p in grid], grid)
+    assert not _assert_stack_matches([_closed_diss(g, p) for p in grid])
 
 
 def test_stacked_brd_reports_the_lowest_failing_point():
@@ -495,33 +530,28 @@ def test_stacked_brd_reports_the_lowest_failing_point():
     g = load_edge_list(SIX_NODE)
     ps = [0.3, 0.6, 0.85, 0.5, 0.825]
     disses = [reach_exact(g, p) for p in ps]
-    each = [_solve_each(g, [diss], [p])[0] for diss, p in zip(disses, ps)]
+    each = [_solve_each([diss])[0] for diss in disses]
     assert [isinstance(result, tuple) for result in each] == [False, False, True, False, True]
-    assert _solve_stacked(g, disses, ps) == (2, each[2])
+    assert _solve_stacked(disses) == (2, each[2])
     order = [0, 4, 3]  # 0.825 now fails between certifying points
-    assert _solve_stacked(g, [disses[k] for k in order], [ps[k] for k in order]) == (1, each[4])
+    assert _solve_stacked([disses[k] for k in order]) == (1, each[4])
 
 
 def test_stacked_brd_row_ignores_its_stack():
     g = star_graph(5)
     grid = np.linspace(0.0, 1.0, 9)
     disses = [_closed_diss(g, p) for p in grid]
-    alone = [_solve_stacked(g, [diss], [p])[0] for diss, p in zip(disses, grid)]
-    assert _solve_stacked(g, disses[::-1], grid[::-1]) == alone[::-1]
-    assert _solve_stacked(g, disses[1::3], grid[1::3]) == alone[1::3]
+    alone = [_solve_stacked([diss])[0] for diss in disses]
+    assert _solve_stacked(disses[::-1]) == alone[::-1]
+    assert _solve_stacked(disses[1::3]) == alone[1::3]
 
 
 def test_stacked_brd_checks_its_sequences():
-    g = star_graph(4)
-    diss = _closed_diss(g, 0.5)
-    with pytest.raises(ValueError, match="as many parameter sets"):
-        best_response_dynamics(g, [diss, diss], [Params(0.5, 1.0, 1.0)])
+    diss = _closed_diss(star_graph(4), 0.5)
     with pytest.raises(ValueError, match="at least one"):
-        best_response_dynamics(g, [], [])
+        best_response_dynamics([], Params())
     with pytest.raises(ValueError, match="disagree"):
-        best_response_dynamics(g, [diss, _closed_diss(star_graph(5), 0.5)], [Params(0.5)] * 2)
-    with pytest.raises(ValueError, match="share alpha and omega"):
-        best_response_dynamics(g, [diss, diss], [Params(0.5), Params(0.5, omega=2.0)])
+        best_response_dynamics([diss, _closed_diss(star_graph(5), 0.5)], Params())
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +563,7 @@ def test_social_optimum_numeric_matches_closed_form(build):
     g = build(5)
     for p in (0.2, 0.5, 0.8):
         diss = _closed_diss(g, p)
-        out = social_optimum_numeric(g, diss, Params(p, 1.0, 1.0))
+        out = social_optimum_numeric(diss, Params())
         expected = social_optimum_strategic_vt(diss.expected_docs, alpha=1.0)
         assert np.abs(out.q - expected).max() < 1e-5
         expected_welfare = 5 - (1 - expected[0]) * diss.expected_docs[0] - 2.5 * expected[0] ** 2
@@ -542,13 +572,13 @@ def test_social_optimum_numeric_matches_closed_form(build):
 
 def test_social_optimum_numeric_p_zero_uniform():
     g = star_graph(5)
-    out = social_optimum_numeric(g, _closed_diss(g, 0.0), Params(0.0, 1.0, 1.0))
+    out = social_optimum_numeric(_closed_diss(g, 0.0), Params())
     assert np.abs(out.q - 0.2).max() < 1e-6
 
 
 def test_social_optimum_numeric_star_near_uniform_attack():
     g = star_graph(5)
-    out = social_optimum_numeric(g, _closed_diss(g, 0.5), Params(0.5, 1.0, 1.0))
+    out = social_optimum_numeric(_closed_diss(g, 0.5), Params())
     assert np.abs(out.attack_vector - 0.2).max() < 0.02
     lamb = star_sacrificial_lamb(5, 0.5, 1.0, 1.0)
     assert out.welfare > lamb.welfare_bound
@@ -558,7 +588,7 @@ def test_social_optimum_numeric_star_near_uniform_attack():
 
 def test_social_optimum_numeric_regime_tag():
     g = ring_graph(4)
-    out = social_optimum_numeric(g, _closed_diss(g, 0.5), Params(0.5, 1.0, 1.0))
+    out = social_optimum_numeric(_closed_diss(g, 0.5), Params())
     assert out.regime == "opt-strategic"
     assert out.attack is not None
 
@@ -582,7 +612,7 @@ def test_social_optimum_solves_each_point_once(monkeypatch, g, p, diss_of):
 
     monkeypatch.setattr(game, "_welfare_and_gradient", recording)
     diss = diss_of(g, p)
-    social_optimum_numeric(g, diss, Params(p, 1.0, 1.0))
+    social_optimum_numeric(diss, Params())
     assert sum(map(len, solved)) > 8
     docs = diss.expected_docs
     ref_step = 1.0 / (1.0 + 2.0 * docs.max() ** 2)
@@ -669,7 +699,7 @@ def test_social_optimum_ring4_p_zero_no_cycling(monkeypatch):
     # steps cycles between the two.  The optimum is uniform 1/(alpha n).
     calls = _record_fills(monkeypatch)
     g = ring_graph(4)
-    out = social_optimum_numeric(g, _closed_diss(g, 0.0), Params(0.0, 1.0, 1.0))
+    out = social_optimum_numeric(_closed_diss(g, 0.0), Params())
     assert np.abs(out.q - 0.25).max() <= 1e-12
     assert sum(map(len, calls)) <= 8 * 16
 
@@ -682,22 +712,22 @@ def test_social_optimum_star5_sweep_kernel_budget(monkeypatch):
     g = star_graph(5)
     grid = np.linspace(0.0, 1.0, 21)
     for p in grid:
-        social_optimum_numeric(g, _closed_diss(g, p), Params(p, 1.0, 1.0))
+        social_optimum_numeric(_closed_diss(g, p), Params())
     rows = sum(map(len, calls))
     assert rows < 2000
     calls.clear()
-    social_optimum_numeric(g, [_closed_diss(g, p) for p in grid], [Params(p) for p in grid])
+    social_optimum_numeric([_closed_diss(g, p) for p in grid], Params())
     assert sum(map(len, calls)) == rows
     assert len(calls) <= 60
 
 
-def _sequential_optimum(diss, alpha, omega, tol=1e-8, max_iter=20_000, seed=0):
+def _sequential_optimum(diss, alpha, omega, tol=1e-8, max_iter=20_000):
     """Oracle: the projected Newton ascent one start and one trial step at
     a time, through one-row calls of the solver's kernels; the best q."""
     docs = diss.expected_docs[None]
     n = docs.shape[1]
     ref_step = 1.0 / (alpha + 2.0 * float(docs.max()) ** 2 / omega)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     starts = [np.full(n, c) for c in (0.1, 0.5, 0.9)] + [rng.random(n) for _ in range(5)]
     best_q, best_welfare = None, -np.inf
     for q0 in starts:
@@ -734,17 +764,16 @@ def test_stacked_line_search_matches_one_step_at_a_time(g, p, diss_of, alpha, om
     # Rows try several halvings of their step in one round and take the
     # first that passes, which is the step a one-at-a-time search accepts.
     diss = diss_of(g, p)
-    out = social_optimum_numeric(g, diss, Params(p, alpha, omega))
+    out = social_optimum_numeric(diss, Params(alpha, omega))
     assert out.q.tobytes() == _sequential_optimum(diss, alpha, omega).tobytes()
 
 
-def _solve_optima(g, disses, ps, alpha=1.0, omega=1.0, **options):
+def _solve_optima(disses, alpha=1.0, omega=1.0, **options):
     """Per-point or stacked optima: each point's (q, welfare, rewards,
     attack) bytes, or (index, message, iterations) of the error raised."""
     single = isinstance(disses, Dissemination)
-    points = Params(ps, alpha, omega) if single else [Params(p, alpha, omega) for p in ps]
     try:
-        outs = social_optimum_numeric(g, disses, points, **options)
+        outs = social_optimum_numeric(disses, Params(alpha, omega), **options)
     except NonConvergenceError as exc:
         return exc.index, str(exc), exc.iterations
     outs = [outs] if single else outs
@@ -755,9 +784,9 @@ def _solve_optima(g, disses, ps, alpha=1.0, omega=1.0, **options):
     ]
 
 
-def _assert_optima_stack_matches(g, disses, ps, **options):
-    each = [_solve_optima(g, diss, p, **options) for diss, p in zip(disses, ps)]
-    stacked = _solve_optima(g, disses, ps, **options)
+def _assert_optima_stack_matches(disses, **options):
+    each = [_solve_optima(diss, **options) for diss in disses]
+    stacked = _solve_optima(disses, **options)
     assert stacked == [result[0] for result in each]
 
 
@@ -765,7 +794,7 @@ def _assert_optima_stack_matches(g, disses, ps, **options):
 def test_stacked_optimum_matches_per_point_calls_on_stars(n):
     g = star_graph(n)
     grid = np.linspace(0.0, 1.0, 21)
-    _assert_optima_stack_matches(g, [_closed_diss(g, p) for p in grid], grid)
+    _assert_optima_stack_matches([_closed_diss(g, p) for p in grid])
 
 
 def test_stacked_optimum_matches_per_point_calls_on_random_graphs():
@@ -774,7 +803,7 @@ def test_stacked_optimum_matches_per_point_calls_on_random_graphs():
         g = _random_connected_graph(rng, int(rng.integers(3, 8)))
         ps = np.sort(rng.uniform(0.05, 0.95, 5))
         costs = ({"alpha": 1.5}, {"omega": 2.0}, {"alpha": 2.0, "omega": 3.0})[k % 3]
-        _assert_optima_stack_matches(g, [reach_exact(g, p) for p in ps], ps, **costs)
+        _assert_optima_stack_matches([reach_exact(g, p) for p in ps], **costs)
 
 
 # At max_iter=2 with alpha = 1.5 and omega = 2 no start converges at
@@ -787,26 +816,21 @@ def test_stacked_optimum_reports_the_lowest_failing_point():
     ps = [0.1, 0.3, 0.5, 0.2, 0.9]
     disses = [reach_exact(g, p) for p in ps]
     options = {"alpha": 1.5, "omega": 2.0, "max_iter": 2}
-    each = [_solve_optima(g, diss, p, **options) for diss, p in zip(disses, ps)]
+    each = [_solve_optima(diss, **options) for diss in disses]
     assert [isinstance(result, tuple) for result in each] == [False, True, False, True, False]
     assert each[1] == (None, "no projected-gradient start converged within 2 iterations "
                        "(8 starts attempted)", 2)
-    assert _solve_optima(g, disses, ps, **options) == (1,) + each[1][1:]
-    assert _solve_optima(g, disses[2:], ps[2:], **options) == (1,) + each[3][1:]
-    assert isinstance(_solve_optima(g, disses[::2], ps[::2], **options), list)
+    assert _solve_optima(disses, **options) == (1,) + each[1][1:]
+    assert _solve_optima(disses[2:], **options) == (1,) + each[3][1:]
+    assert isinstance(_solve_optima(disses[::2], **options), list)
 
 
 def test_stacked_optimum_checks_its_sequences():
-    g = star_graph(4)
-    diss = _closed_diss(g, 0.5)
-    with pytest.raises(ValueError, match="as many parameter sets"):
-        social_optimum_numeric(g, [diss, diss], [Params(0.5, 1.0, 1.0)])
+    diss = _closed_diss(star_graph(4), 0.5)
     with pytest.raises(ValueError, match="at least one"):
-        social_optimum_numeric(g, [], [])
+        social_optimum_numeric([], Params())
     with pytest.raises(ValueError, match="disagree"):
-        social_optimum_numeric(g, [diss, _closed_diss(star_graph(5), 0.5)], [Params(0.5)] * 2)
-    with pytest.raises(ValueError, match="share alpha and omega"):
-        social_optimum_numeric(g, [diss, diss], [Params(0.5), Params(0.5, alpha=2.0)])
+        social_optimum_numeric([diss, _closed_diss(star_graph(5), 0.5)], Params())
 
 
 def _grid_welfare(qs, docs, alpha, omega):
@@ -845,7 +869,7 @@ def social_optimum_grid_oracle(docs, alpha, omega):
 def test_social_optimum_matches_grid_oracle(g, diss_of, alpha, omega):
     for p in (0.0, 0.2, 0.5, 0.8, 1.0):
         diss = diss_of(g, p)
-        out = social_optimum_numeric(g, diss, Params(p, alpha, omega))
+        out = social_optimum_numeric(diss, Params(alpha, omega))
         q_grid, w_grid = social_optimum_grid_oracle(diss.expected_docs, alpha, omega)
         assert out.welfare >= w_grid - 1e-12
         assert out.welfare <= w_grid + 1e-5
@@ -1021,7 +1045,7 @@ def test_star_lamb_attack_lands_on_lamb():
 def test_evaluate_outcome_reward_identity():
     g = star_graph(5)
     diss = _closed_diss(g, 0.7)
-    params = Params(0.7, 1.2, 1.5)
+    params = Params(1.2, 1.5)
     rng = np.random.default_rng(0)
     for regime in ("nash-random", "opt-random", "nash-strategic", "opt-strategic"):
         q = rng.random(5)
@@ -1033,7 +1057,7 @@ def test_evaluate_outcome_reward_identity():
 
 def test_evaluate_outcome_random_regime_uniform_attack():
     g = ring_graph(4)
-    out = evaluate_outcome(_closed_diss(g, 0.5), Params(0.5, 1.0, 1.0), np.zeros(4), "nash-random")
+    out = evaluate_outcome(_closed_diss(g, 0.5), Params(), np.zeros(4), "nash-random")
     assert np.array_equal(out.attack_vector, np.full(4, 0.25))
     assert out.attack is None
 
@@ -1047,7 +1071,7 @@ def test_evaluate_outcome_random_regime_uniform_attack():
 def test_evaluate_outcome_rejects_bad_investments(regime, q):
     diss = _closed_diss(ring_graph(5), 0.5)
     with pytest.raises(ValueError, match="investments"):
-        evaluate_outcome(diss, Params(0.5, 1.0, 1.0), q, regime)
+        evaluate_outcome(diss, Params(), q, regime)
 
 
 def test_negated_jacobian_diagonal_dominance():
