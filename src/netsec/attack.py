@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissemination import _check_cost, star_docs
+from .dissemination import _check_cost
 
 # Values of v_i + lam within this of zero are treated as inactive, so the
 # corresponding a_i is an exact 0 rather than a denormalized positive.
@@ -102,21 +102,6 @@ def optimal_attack(q, docs, omega: float) -> AttackSolution:
     return AttackSolution(a[0], float(lam[0]), active[0].nonzero()[0])
 
 
-def kkt_residual(sol: AttackSolution, q, docs, omega: float) -> float:
-    """Worst violation of the stationarity/slackness conditions at sol."""
-    q = _as_security(q)
-    docs = np.asarray(docs, dtype=float)
-    v = (1.0 - q) * docs
-    active = np.zeros(q.size, dtype=bool)
-    active[sol.active] = True
-    res = 0.0
-    if active.any():
-        res = float(np.abs(v[active] - omega * sol.a[active] + sol.lam).max())
-    if (~active).any():
-        res = max(res, float(np.maximum(v[~active] + sol.lam, 0.0).max()))
-    return res
-
-
 def breach_probabilities(a, q, reach) -> np.ndarray:
     """Probability each agent i's document is stolen: sum_j reach[i, j] a_j (1 - q_j).
 
@@ -142,28 +127,3 @@ def attacker_payoff(a, q, docs, omega: float) -> float:
     if abs(a.sum() - 1.0) > _SIMPLEX_TOL or (a < -_SIMPLEX_TOL).any():
         raise ValueError("attack vector must lie on the probability simplex")
     return expected_stolen(a, q, docs) - 0.5 * omega * float(a @ a)
-
-
-def star_attack(
-    n: int, p: float, q_center: float, q_leaf: float, omega: float
-) -> tuple[float, float]:
-    """Optimal attack on a star with symmetric leaf investments.
-
-    Returns (a_center, a_leaf).  With gap = (1-q_center) * docs_center -
-    (1-q_leaf) * docs_leaf, the solution is the all-in corner (1, 0) when
-    omega <= gap, the leaves-only corner (0, 1/(n-1)) when
-    omega <= -(n-1) * gap, and otherwise interior:
-
-        a_center = 1/n + (1 - 1/n) * gap / omega
-        a_leaf   = 1/n - gap / (n * omega)
-    """
-    if n < 3:
-        raise ValueError(f"star attack formula needs n >= 3, got {n}")
-    _check_cost("omega", omega)
-    hub_docs, leaf_docs = star_docs(n, p)
-    gap = (1.0 - q_center) * hub_docs - (1.0 - q_leaf) * leaf_docs
-    if omega <= gap:
-        return 1.0, 0.0
-    if omega <= -(n - 1) * gap:
-        return 0.0, 1.0 / (n - 1)
-    return 1.0 / n + (1.0 - 1.0 / n) * gap / omega, 1.0 / n - gap / (n * omega)

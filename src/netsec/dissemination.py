@@ -32,10 +32,13 @@ METHOD_MC = "mc"
 MAX_EXACT_AGENTS = 12
 MAX_EXACT_EDGES = 22
 
+# Monte Carlo spreads labelled at once.  A graph whose 2**m edge sets fit
+# in one chunk (at most 15 edges) draws the histogram of its spreads' edge
+# sets and labels at most 2**m rows; larger graphs label every spread.
 _MC_CHUNK = 50_000
-# Uniforms drawn per Monte Carlo chunk: graphs of up to 64 edges keep
-# _MC_CHUNK spreads a chunk, denser ones take fewer, so a chunk's draw
-# stays near 26 MB whatever the edge count.
+# Uniforms drawn per chunk of per-spread Monte Carlo: graphs of up to 64
+# edges keep _MC_CHUNK spreads a chunk, denser ones take fewer, so a
+# chunk's draw stays near 26 MB whatever the edge count.
 _MC_DRAWS = 64 * _MC_CHUNK
 # Masks labelled per enumeration step; larger chunks buy little speed for
 # megabytes of peak memory.
@@ -333,18 +336,6 @@ def _complete_tables(k: int, p: float) -> tuple[np.ndarray, np.ndarray | None]:
     return q, (weights[-1] if k >= 2 else None)
 
 
-def complete_connected_probability(k: int, p: float) -> float:
-    """Probability a document reaches every agent of a complete graph on k nodes.
-
-    Equals the probability that the Bernoulli-thinned K_k stays connected;
-    see `_complete_tables` for the all-positive recursion.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    _check_p(p)
-    return float(_complete_tables(k, p)[0][k])
-
-
 def complete_pair_reach(n: int, p: float) -> float:
     """Reach probability between two distinct agents of a complete graph."""
     if n < 2:
@@ -356,20 +347,6 @@ def complete_pair_reach(n: int, p: float) -> float:
         return p + p**2 - p**3
     q, pair_weights = _complete_tables(n, p)
     return min(1.0, float(pair_weights.dot(q[2:])))
-
-
-def complete_pair_bounds(n: int, p: float) -> tuple[float, float]:
-    """(lower, upper) envelope for the complete-graph pair reach probability.
-
-    The lower bound keeps only length-<=2 paths; the upper bound only asks
-    that some edge reaches the destination.
-    """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    _check_p(p)
-    lower = 1.0 - (1.0 - p) * (1.0 - p**2) ** (n - 2)
-    upper = 1.0 - (1.0 - p) ** (n - 1)
-    return lower, upper
 
 
 def ring_pair_reach(n: int, p: float, dist: int) -> float:
@@ -445,6 +422,22 @@ def reach_closed_form(g: Graph, p: float) -> Dissemination:
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
+def _edge_set_counts(rng, spreads: int, m: int, p: float) -> np.ndarray:
+    """How many of `spreads` random spreads drew each of the 2**m edge sets.
+
+    Starting from one group of all the spreads, each edge splits every
+    group by a binomial draw of the spreads in which it survives, so bit e
+    of an index says whether edge e survived.  The counts have the
+    multinomial law of tallying independent spreads (Devroye, Non-Uniform
+    Random Variate Generation, 1986, ch. XI) from 2**m - 1 binomial draws.
+    """
+    mult = np.array([spreads])
+    for _ in range(m):
+        on = rng.binomial(mult, p)
+        mult = np.concatenate([mult - on, on])
+    return mult
+
+
 def reach_monte_carlo(
     g: Graph, p: float, samples: int, seed: int = 0
 ) -> Dissemination:
@@ -454,14 +447,13 @@ def reach_monte_carlo(
     same labels, so each entry averages 2 * `samples` spreads.  Sharing the
     spreads across sources is sound because every output is a pairwise
     marginal, the probability that i and j are joined; it also makes the
-    estimate exactly symmetric.  An entry depends on a spread only through
-    its set of surviving edges, so when the 2**m possible sets are no more
-    than the spreads in a chunk, the chunk's repeated sets are counted and
-    each distinct one is labelled once; larger graphs label every spread.
-    Either way the integer counts are the same.  A chunk draws at most
-    _MC_DRAWS uniforms, so dense graphs take fewer spreads a chunk.  One RNG
-    stream, read in order, keeps estimates reproducible and independent of
-    the chunk size.
+    estimate exactly symmetric.  An entry depends on the spreads only
+    through how many drew each edge set, so when the 2**m possible sets fit
+    in a chunk (at most 15 edges) that histogram is drawn directly and each
+    set that occurs is labelled once.  Larger graphs label every spread, a
+    chunk of at most _MC_DRAWS uniforms at a time (fewer spreads on dense
+    graphs), from one RNG stream read in order, so their estimates do not
+    depend on the chunk size.
     std_err holds the binomial standard error of each entry.
     """
     _check_p(p)
@@ -469,23 +461,24 @@ def reach_monte_carlo(
         raise ValueError(f"samples must be >= 1, got {samples}")
     n, edges = g.n, g.edges
     m = len(edges)
-    bits = np.arange(m)
     spreads = 2 * samples
     rng = np.random.default_rng(seed & (2**64 - 1))
     counts = np.zeros((n, n))
-    chunk = max(1, min(_MC_CHUNK, _MC_DRAWS // max(m, 1)))
-    for start in range(0, spreads, chunk):
-        present = rng.random((min(chunk, spreads - start), m)) < p
-        weight = None
-        if 1 << m <= len(present):
-            mult = np.bincount(present @ (1 << bits), minlength=1 << m)
-            masks = np.flatnonzero(mult)
-            present = ((masks[:, None] >> bits) & 1).astype(bool)
-            weight = mult[masks].astype(float)
+    if 1 << m <= _MC_CHUNK:
+        mult = _edge_set_counts(rng, spreads, m, p)
+        masks = np.flatnonzero(mult)
+        weight = mult[masks].astype(float)
+        present = ((masks[:, None] >> np.arange(m)) & 1).astype(bool)
         labels = _component_labels(present, edges, n)
         for src in range(n):
-            same = labels == labels[:, src : src + 1]
-            counts[src] += same.sum(axis=0) if weight is None else weight @ same
+            counts[src] = weight @ (labels == labels[:, src : src + 1])
+    else:
+        chunk = max(1, min(_MC_CHUNK, _MC_DRAWS // m))
+        for start in range(0, spreads, chunk):
+            present = rng.random((min(chunk, spreads - start), m)) < p
+            labels = _component_labels(present, edges, n)
+            for src in range(n):
+                counts[src] += (labels == labels[:, src : src + 1]).sum(axis=0)
     reach = counts / spreads
     std_err = np.sqrt(reach * (1.0 - reach) / spreads)
     return Dissemination(reach, reach.sum(axis=0), METHOD_MC, std_err=std_err)

@@ -15,14 +15,11 @@ import numpy as np
 from netsec import cli
 from netsec.attack import (
     attacker_payoff,
-    kkt_residual,
     optimal_attack,
 )
 from netsec.dissemination import (
     Params,
-    complete_connected_probability,
     complete_docs,
-    complete_pair_bounds,
     complete_pair_reach,
     p_for_half_coverage,
     reach_closed_form,
@@ -44,6 +41,7 @@ from netsec.game import (
     star_uniform_attack_strategy,
 )
 from netsec.graph import build_topology, ring_graph
+from oracles import complete_connected_probability, complete_pair_bounds, kkt_residual
 
 P_GRID = [round(0.1 * k, 1) for k in range(1, 10)]
 

@@ -7,12 +7,11 @@ from netsec.attack import (
     attacker_payoff,
     breach_probabilities,
     expected_stolen,
-    kkt_residual,
     optimal_attack,
-    star_attack,
 )
 from netsec.dissemination import reach_closed_form, star_docs
 from netsec.graph import ring_graph, star_graph
+from oracles import kkt_residual, star_attack
 
 
 def simplex_grid_argmax(q, docs, omega, mesh=1e-3):

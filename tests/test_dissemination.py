@@ -12,9 +12,7 @@ from netsec.dissemination import (
     Params,
     _component_labels,
     _p_for_mean_docs,
-    complete_connected_probability,
     complete_docs,
-    complete_pair_bounds,
     complete_pair_reach,
     disseminate,
     p_for_half_coverage,
@@ -26,6 +24,7 @@ from netsec.dissemination import (
     topology_docs,
 )
 from netsec.graph import complete_graph, load_edge_list, ring_graph, star_graph
+from oracles import complete_connected_probability, complete_pair_bounds
 from reed_frost import complete_reach_oracle
 
 P_GRID = [round(0.1 * k, 1) for k in range(1, 10)]
@@ -412,17 +411,29 @@ def test_monte_carlo_symmetry_and_diagonal():
     assert (mc.std_err.diagonal() == 0.0).all()
 
 
+@pytest.mark.parametrize("n", [15, 16])
+def test_monte_carlo_within_standard_errors_at_subset_threshold(n):
+    # A 15-ring's edge sets fit in a chunk, so its spreads come from one
+    # edge-set histogram; a 16-ring labels every spread.  Both estimates
+    # must agree with the closed form; the bound allows for 105 pairs.
+    g = ring_graph(n)
+    mc = reach_monte_carlo(g, 0.5, 20_000, seed=0)
+    closed = reach_closed_form(g, 0.5)
+    off = ~np.eye(n, dtype=bool)
+    deviations = np.abs(mc.reach - closed.reach)[off] / mc.std_err[off]
+    assert deviations.max() < 4.5
+
+
 def test_monte_carlo_rejects_bad_samples():
     with pytest.raises(ValueError, match="samples"):
         reach_monte_carlo(ring_graph(4), 0.5, 0)
 
 
 def test_monte_carlo_invariant_to_batch_size(monkeypatch):
-    # One stream read in order makes the estimate independent of how the
-    # spreads are batched internally.
-    import netsec.dissemination as diss_mod
-
-    g = ring_graph(5)
+    # One stream read in order makes the per-spread estimate independent of
+    # how the spreads are batched internally; a 20-ring's 2**20 edge sets
+    # exceed a chunk, so it labels every spread in both runs.
+    g = ring_graph(20)
     full = reach_monte_carlo(g, 0.5, 1000, seed=5)
     monkeypatch.setattr(diss_mod, "_MC_CHUNK", 64)
     chunked = reach_monte_carlo(g, 0.5, 1000, seed=5)
@@ -445,14 +456,47 @@ def _counting_labels(monkeypatch):
 
 
 def test_monte_carlo_labels_each_distinct_subset_once(monkeypatch):
-    # A 5-ring has 2**5 edge subsets, fewer than a chunk's spreads, so each
-    # batch holds every occurring subset once.
+    # A 5-ring's 2**5 edge sets fit in a chunk, so its spreads are drawn as
+    # one edge-set histogram and labelled in one batch that holds every
+    # occurring set once.
     batches = _counting_labels(monkeypatch)
     reach_monte_carlo(ring_graph(5), 0.5, 1000, seed=5)
-    assert batches
-    for present in batches:
-        assert present.shape[0] <= 2**5
-        assert np.unique(present, axis=0).shape[0] == present.shape[0]
+    assert len(batches) == 1
+    present = batches[0]
+    assert present.shape[0] <= 2**5
+    assert np.unique(present, axis=0).shape[0] == present.shape[0]
+
+
+def test_edge_set_counts_follow_the_multinomial_law():
+    # Over a 3-edge path's 8 edge sets, a set of k edges is drawn by each
+    # spread with probability p**k (1-p)**(3-k).  Every histogram counts
+    # each spread once, and over many seeds each set's count has the
+    # binomial mean (within 5 standard errors) and variance (within 20%,
+    # about 6 standard errors of a sample variance over 2000 seeds).
+    g = load_edge_list("0 1\n1 2\n2 3")
+    m, p, spreads, seeds = g.edge_count, 0.3, 200, 2000
+    hist = np.array([
+        diss_mod._edge_set_counts(np.random.default_rng(seed), spreads, m, p)
+        for seed in range(seeds)
+    ])
+    assert hist.shape == (seeds, 1 << m)
+    assert (hist.sum(axis=1) == spreads).all()
+    k = np.array([bin(mask).count("1") for mask in range(1 << m)])
+    prob = p**k * (1.0 - p) ** (m - k)
+    variance = spreads * prob * (1.0 - prob)
+    assert (np.abs(hist.mean(axis=0) - spreads * prob) <= 5.0 * np.sqrt(variance / seeds)).all()
+    assert (np.abs(hist.var(axis=0, ddof=1) / variance - 1.0) <= 0.2).all()
+
+
+@pytest.mark.parametrize("samples", [1, 1000])
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_edge_set_counts_one_hot_when_edges_are_certain(p, samples):
+    # p = 0 puts every spread on the empty set, p = 1 on the full set.
+    m = 3
+    hist = diss_mod._edge_set_counts(np.random.default_rng(4), 2 * samples, m, p)
+    expected = np.zeros(1 << m, dtype=hist.dtype)
+    expected[(1 << m) - 1 if p else 0] = 2 * samples
+    assert np.array_equal(hist, expected)
 
 
 def test_monte_carlo_labels_every_spread_above_threshold(monkeypatch):
@@ -481,13 +525,26 @@ def test_monte_carlo_chunks_bounded_by_draws(monkeypatch, budget):
 
 
 def per_spread_monte_carlo(g, p, samples, seed, chunk):
-    """Reference estimator: label every spread and count each one."""
+    """Reference estimator: label every spread and count each one.
+
+    A graph whose 2**m edge sets fit in a chunk takes its spreads from the
+    edge-set histogram `reach_monte_carlo` draws, expanded into one row per
+    spread; a larger graph draws each spread's uniforms from the stream.
+    """
     n, edges = g.n, g.edges
+    m = len(edges)
     spreads = 2 * samples
     rng = np.random.default_rng(seed & (2**64 - 1))
+    histogram = 1 << m <= chunk
+    if histogram:
+        codes = np.repeat(np.arange(1 << m), diss_mod._edge_set_counts(rng, spreads, m, p))
+        rows = ((codes[:, None] >> np.arange(m)) & 1).astype(bool)
     counts = np.zeros((n, n))
     for start in range(0, spreads, chunk):
-        present = rng.random((min(chunk, spreads - start), len(edges))) < p
+        if histogram:
+            present = rows[start : start + chunk]
+        else:
+            present = rng.random((min(chunk, spreads - start), m)) < p
         labels = _component_labels(present, edges, n)
         for src in range(n):
             counts[src] += (labels == labels[:, src : src + 1]).sum(axis=0)
@@ -511,16 +568,16 @@ MC_ORACLE_GRAPHS = [
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
 @pytest.mark.parametrize("g", MC_ORACLE_GRAPHS, ids=lambda g: f"{g.topology}{g.n}")
 def test_monte_carlo_matches_per_spread_oracle(monkeypatch, g, p, chunk):
-    # Counting repeated subsets must give the same integer counts as
-    # labelling every spread, in reduced chunks and in chunks that are not.
-    import netsec.dissemination as diss_mod
-
+    # Counting repeated edge sets must give the same integer counts as
+    # labelling every spread.  Graphs whose 2**m edge sets fit in a chunk
+    # (at most 15 edges by default, 6 with 64-spread chunks) are checked
+    # against their histogram expanded into spreads, larger ones against
+    # spreads drawn from uniforms, in full chunks and a partial last one.
     if chunk is None:
-        # A full chunk and one of 2000 spreads: graphs of at most 10 edges
-        # reduce both, 15-edge graphs the first only, 16 or more neither.
+        # A full chunk and one of 2000 spreads.
         samples = diss_mod._MC_CHUNK // 2 + 1000
     else:
-        # 94 chunks, the last of 48 spreads, fewer than a 6-ring's 64 subsets.
+        # 94 chunks, the last of 48 spreads.
         monkeypatch.setattr(diss_mod, "_MC_CHUNK", chunk)
         samples = 3000
     mc = reach_monte_carlo(g, p, samples, seed=11)

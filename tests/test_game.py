@@ -7,7 +7,6 @@ from netsec.dissemination import (
     Dissemination,
     Params,
     complete_docs,
-    complete_pair_bounds,
     reach_closed_form,
     reach_exact,
     reach_monte_carlo,
@@ -31,6 +30,7 @@ from netsec.game import (
     unique_crossover_condition,
 )
 from netsec.graph import complete_graph, load_edge_list, ring_graph, star_graph
+from oracles import complete_pair_bounds
 
 P_GRID = [round(0.1 * k, 1) for k in range(1, 10)]
 
