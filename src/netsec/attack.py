@@ -55,6 +55,14 @@ def _as_security(q, n: int | None = None) -> np.ndarray:
     return np.clip(q, 0.0, 1.0)
 
 
+def _as_docs(docs, n: float = np.inf) -> np.ndarray:
+    """Expected documents as a float array, each finite and in [1, n] up to 1e-9."""
+    arr = np.atleast_1d(np.asarray(docs, dtype=float))
+    if not (np.isfinite(arr) & (arr >= 1.0 - 1e-9) & (arr <= n + 1e-9)).all():
+        raise ValueError(f"expected documents must be finite numbers in [1, {n}], got {docs}")
+    return arr
+
+
 def _water_fill(v, omega: float):
     """Unchecked water-filling scan, row by row: (a, lam, active) for a
     (B, n) stack of values v.
@@ -92,12 +100,10 @@ def optimal_attack(q, docs, omega: float) -> AttackSolution:
     v_i = (1 - q_i) * docs_i.
     """
     q = _as_security(q)
-    docs = np.atleast_1d(np.asarray(docs, dtype=float))
+    docs = _as_docs(docs)
     if docs.shape != q.shape:
         raise ValueError("q and docs must have the same length")
     _check_cost("omega", omega)
-    if (docs < 1.0 - 1e-9).any():
-        raise ValueError("expected documents are always >= 1 on a connected graph")
     a, lam, active = _water_fill(((1.0 - q) * docs)[None], omega)
     return AttackSolution(a[0], float(lam[0]), active[0].nonzero()[0])
 
@@ -124,6 +130,6 @@ def expected_stolen(a, q, docs) -> float:
 def attacker_payoff(a, q, docs, omega: float) -> float:
     """Expected stolen documents minus the quadratic targeting cost."""
     a = np.asarray(a, dtype=float)
-    if abs(a.sum() - 1.0) > _SIMPLEX_TOL or (a < -_SIMPLEX_TOL).any():
+    if not ((a >= -_SIMPLEX_TOL).all() and abs(a.sum() - 1.0) <= _SIMPLEX_TOL):  # NaN, -inf fail first
         raise ValueError("attack vector must lie on the probability simplex")
     return expected_stolen(a, q, docs) - 0.5 * omega * float(a @ a)

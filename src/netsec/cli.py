@@ -215,10 +215,10 @@ def _regime_profiles(g: Graph, grid, args):
 
     One Params holds the command's costs for every point.  Points are
     solved in grid order, in blocks whose stacked reach matrices fit in
-    _SWEEP_BLOCK_BYTES; each block's strategic equilibria come from one
-    stacked best-response call and its social optima from one stacked
-    call.  A solver failure names its p, and it is the failure a
-    point-by-point sweep would have met first.
+    _SWEEP_BLOCK_BYTES; each block's strategic equilibria and social optima
+    come from one stacked call each over the whole block.  A failure names
+    its p: the lowest failing point's, the equilibrium's first at a tie, as
+    a point-by-point sweep meets it.
     """
     params = Params(args.alpha, args.omega)
     block = max(1, _SWEEP_BLOCK_BYTES // (8 * g.n * g.n))
@@ -226,19 +226,16 @@ def _regime_profiles(g: Graph, grid, args):
     for first in range(0, len(grid), block):
         points = grid[first : first + block]
         disses = [_resolve_dissemination(g, p, args) for p in points]
-        try:
-            nash, failed = game.best_response_dynamics(disses, params), None
-        except NonConvergenceError as exc:
-            nash, failed = None, exc
-        # Point by point, the optima below a failed equilibrium come first.
-        solved = len(points) if failed is None else failed.index
-        try:
-            optima = solved and game.social_optimum_numeric(disses[:solved], params)
-        except NonConvergenceError as exc:
-            failed = exc
-        if failed is not None:
+        solved, failures = [], []
+        for solve in (game.best_response_dynamics, game.social_optimum_numeric):
+            try:
+                solved.append(solve(disses, params))
+            except NonConvergenceError as exc:
+                failures.append(exc)
+        if failures:
+            failed = min(failures, key=lambda exc: exc.index)  # the equilibrium's on ties
             raise NonConvergenceError(f"at p = {_fmt(points[failed.index])}: {failed}") from failed
-        for diss, q_ns, q_os in zip(disses, nash, optima):
+        for diss, q_ns, q_os in zip(disses, *solved):
             q_or = game.social_optimum_random(diss.expected_docs, args.alpha)
             profiles.append([game.nash_random(g.n, args.alpha), q_or, q_ns.q, q_os.q])
     return profiles

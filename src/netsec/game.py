@@ -25,6 +25,7 @@ import numpy as np
 
 from .attack import (
     AttackSolution,
+    _as_docs,
     _as_security,
     _water_fill,
     breach_probabilities,
@@ -127,19 +128,15 @@ def nash_random(n: int, alpha: float) -> np.ndarray:
 
 def social_optimum_random(docs, alpha: float) -> np.ndarray:
     """Socially optimal investments against a random attack: docs_i / (alpha n)."""
-    docs = np.atleast_1d(np.asarray(docs, dtype=float))
-    n = docs.size
     _check_cost("alpha", alpha)
-    if (docs > n + 1e-9).any() or (docs < 1.0 - 1e-9).any():
-        raise ValueError("expected documents must lie in [1, n]")
-    return docs / (alpha * n)
+    docs = _as_docs(docs, np.size(docs))
+    return docs / (alpha * docs.size)
 
 
 def _is_homogeneous(docs) -> bool:
     """Whether all agents expect the same document count, so the
     vertex-transitive closed forms apply."""
-    arr = np.atleast_1d(np.asarray(docs, dtype=float))
-    return bool(arr.max() - arr.min() <= _HOMOGENEITY_TOL)
+    return bool(np.ptp(docs) <= _HOMOGENEITY_TOL)
 
 
 def _homogeneous_docs(docs, n: int | None) -> tuple[float, int]:
@@ -151,8 +148,7 @@ def _homogeneous_docs(docs, n: int | None) -> tuple[float, int]:
         n = arr.size
     elif arr.size > 1 and n != arr.size:
         raise ValueError(f"docs has length {arr.size} but n={n}")
-    if not ((arr >= 1.0 - 1e-9) & (arr <= n + 1e-9)).all():  # NaN fails too
-        raise ValueError(f"expected documents must lie in [1, {n}], got {docs}")
+    _as_docs(docs, n)
     if not _is_homogeneous(arr):
         raise ValueError(
             "expected-document entries differ; this closed form only "
@@ -291,16 +287,31 @@ def _nash_gap(q, docs, reach, alpha, omega):
     return gains[np.arange(rows), agents], agents
 
 
-def _stack_points(diss):
-    """The checked points of a solve given one Dissemination or a sequence:
-    (single, disses)."""
+def _stack_points(diss, tol, max_iter):
+    """Check a solve's budget and points, given one Dissemination or a
+    sequence: (single, disses, docs) with docs the (B, n) expected documents."""
+    if not tol > 0:  # NaN fails too
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     single = isinstance(diss, Dissemination)
     disses = [diss] if single else list(diss)
     if not disses:
         raise ValueError("needs at least one dissemination")
     if len({d.n for d in disses}) > 1:
         raise ValueError("stacked disseminations disagree on the number of agents")
-    return single, disses
+    return single, disses, np.array([d.expected_docs for d in disses], dtype=float)
+
+
+def _stack_outcomes(single, disses, params, qs, errors, regime):
+    """The points' GameOutcomes from their q, unless some point's error is
+    not None: then raise the lowest one's, with its position as `index`."""
+    for b, error in enumerate(errors):
+        if error is not None:
+            error.index = None if single else b
+            raise error
+    outcomes = [evaluate_outcome(d, params, q, regime) for d, q in zip(disses, qs)]
+    return outcomes[0] if single else outcomes
 
 
 def best_response_dynamics(
@@ -336,22 +347,17 @@ def best_response_dynamics(
     list in input order.  Each sweep takes one stacked best-response call
     per agent over the points still iterating, while the extrapolation
     history, restarts, cycle detection and certificate stay per point, so
-    every point gets the bytes a call with it alone would.  If any point
-    fails, the NonConvergenceError raised is the one the lowest failing
-    point raises alone, with that point's position as `index` (None when a
-    single point was given); points above a failed one stop early.  The
-    solve copies the points' n x n reach matrices into one array, 8 n^2
-    bytes a point on top of the inputs, so callers bound the number of
-    points: the CLI sweeps pass blocks of 16 MB.
+    every point gets the bytes a call with it alone would.  Both stacked
+    solvers run every point to its own end; if any fails, the
+    NonConvergenceError raised is the one the lowest failing point raises
+    alone, with that point's position as `index` (None when a single point
+    was given).  The solve copies the points' n x n reach matrices into one
+    array, 8 n^2 bytes a point on top of the inputs, so callers bound the
+    number of points: the CLI sweeps pass blocks of 16 MB.
     """
-    if not tol > 0:  # NaN fails too
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    single, disses = _stack_points(diss)
+    single, disses, docs = _stack_points(diss, tol, max_iter)
     alpha, omega = params.alpha, params.omega
-    n, rows = disses[0].n, len(disses)
-    docs = np.array([d.expected_docs for d in disses], dtype=float)
+    rows, n = docs.shape
 
     def stack(which):  # docs and reach of these points, one row each
         return docs[which], np.array([disses[b].reach for b in which])
@@ -363,7 +369,7 @@ def best_response_dynamics(
     reason, sweeps = [None] * rows, [max_iter] * rows
     prev, delta = [np.inf] * rows, [0.0] * rows
     accelerate = [True] * rows
-    live, lowest_failed = list(range(rows)), rows
+    live = list(range(rows))
     stacked, walk = None, _walk_constants(rows, n)
     for sweep in range(1, max_iter + 1):
         for b in live:
@@ -372,11 +378,11 @@ def best_response_dynamics(
                 if key in seen[b]:
                     if not accelerate[b]:
                         reason[b] = f"sweep {sweep} repeats the profile of sweep {seen[b][key]}"
-                        sweeps[b], lowest_failed = sweep, min(lowest_failed, b)
+                        sweeps[b] = sweep
                         continue
                     accelerate[b], seen[b] = False, {}  # plain sweeps from here on
                 seen[b][key] = sweep
-        live = [b for b in live if reason[b] is None and b < lowest_failed]
+        live = [b for b in live if reason[b] is None]
         if not live:
             break
         if stacked != live:  # restack only when points finish
@@ -410,23 +416,21 @@ def best_response_dynamics(
         live = [b for b in live if delta[b] > tol]
     for b in live:
         reason[b] = f"no convergence in {max_iter} sweeps (last sweep moved {delta[b]:.3e})"
-    done = list(range(min(lowest_failed + 1, rows)))
     sub_reach = None  # frees the sweep stack before the certificate builds its own
-    gains, agents = _nash_gap(last[done], *stack(done), alpha, omega)
-    for b in done:
-        if reason[b] is None and gains[b] > tol:
-            reason[b] = f"sweep {sweeps[b]} settled on a profile that is no equilibrium"
-        if reason[b] is not None:
-            raise NonConvergenceError(
-                f"best-response dynamics stopped: {reason[b]}; "
+    gains, agents = _nash_gap(last, *stack(range(rows)), alpha, omega)
+    errors = [None] * rows
+    for b, why in enumerate(reason):
+        if why is None and gains[b] > tol:
+            why = f"sweep {sweeps[b]} settled on a profile that is no equilibrium"
+        if why is not None:
+            errors[b] = NonConvergenceError(
+                f"best-response dynamics stopped: {why}; "
                 f"agent {agents[b]} gains {gains[b]:.3e} by deviating alone",
                 last_q=last[b].copy(),
                 residual=float(gains[b]),
                 iterations=sweeps[b],
-                index=None if single else b,
             )
-    outcomes = [evaluate_outcome(d, params, q, NASH_STRATEGIC) for d, q in zip(disses, last)]
-    return outcomes[0] if single else outcomes
+    return _stack_outcomes(single, disses, params, last, errors, NASH_STRATEGIC)
 
 
 def _row_dot(x, y):
@@ -500,16 +504,12 @@ def social_optimum_numeric(
     halvings as its last line search needed and takes the first that
     passes, so each row takes the path, and gets the bytes, it would alone.
     Like `best_response_dynamics`, `diss` may be a sequence of points solved
-    with the same `params`; all their starts join the stack, the
-    GameOutcomes come back as a list in input order, and a failure raises
-    the lowest failing point's NonConvergenceError with that point's
-    position as `index` (None when a single point was given).
+    with the same `params`, and all their starts join the stack; outcomes
+    and failures follow the stacked-solve contract stated there.
     """
-    if not tol > 0:  # NaN fails too
-        raise ValueError("tol must be positive")
-    single, disses = _stack_points(diss)
-    alpha, omega, n = params.alpha, params.omega, disses[0].n
-    docs = np.repeat(np.array([d.expected_docs for d in disses], dtype=float), _STARTS, axis=0)
+    single, disses, docs = _stack_points(diss, tol, max_iter)
+    alpha, omega, n = params.alpha, params.omega, docs.shape[1]
+    docs = np.repeat(docs, _STARTS, axis=0)
     ref_step = 1.0 / (alpha + 2.0 * docs.max(axis=1) ** 2 / omega)
     rng = np.random.default_rng(0)
     starts = np.vstack([np.full((3, n), [[0.1], [0.5], [0.9]]), rng.random((_STARTS - 3, n))])
@@ -562,20 +562,16 @@ def social_optimum_numeric(
         step = np.where(fresh, step, step * 0.5**tried)
         wedged = step <= 1e-16  # no step passes the Armijo test: the start failed
     welfare = best_value.reshape(-1, _STARTS)
-    failed = np.isneginf(welfare.max(axis=1)).nonzero()[0]
-    if failed.size:
-        raise NonConvergenceError(
+    errors = [
+        NonConvergenceError(
             f"no projected-gradient start converged within {max_iter} iterations "
             f"({_STARTS} starts attempted)",
             iterations=max_iter,
-            index=None if single else int(failed[0]),
-        )
-    best = welfare.argmax(axis=1)
-    outcomes = [
-        evaluate_outcome(d, params, best_q[b * _STARTS + best[b]], OPT_STRATEGIC)
-        for b, d in enumerate(disses)
+        ) if np.isneginf(top) else None
+        for top in welfare.max(axis=1)
     ]
-    return outcomes[0] if single else outcomes
+    best = best_q[np.arange(0, rows, _STARTS) + welfare.argmax(axis=1)]
+    return _stack_outcomes(single, disses, params, best, errors, OPT_STRATEGIC)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,19 @@ def test_rejects_bad_inputs():
         optimal_attack([0.5, 0.5], [0.5, 2.0], 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_documents(bad):
+    # NaN passes a plain lower-bound test, and would give an attack off the simplex.
+    with pytest.raises(ValueError, match="expected documents must be finite"):
+        optimal_attack([0.1, 0.2], [bad, 2.0], 1.0)
+
+
+def test_documents_have_no_upper_bound():
+    # Only the game's closed forms bound docs by n; the attacker's program does not.
+    sol = optimal_attack([0.1, 0.2], [50.0, 2.0], 1.0)
+    assert sol.a.tolist() == [1.0, 0.0]
+
+
 def test_water_level_scan_accepts_exactly_one_prefix():
     # The scan condition (k-th value stays positive, (k+1)-th does not)
     # identifies one and only one prefix size on generic instances.
@@ -392,6 +405,17 @@ def test_attacker_payoff_optimality_beats_uniform():
 def test_attacker_payoff_rejects_off_simplex():
     with pytest.raises(ValueError, match="simplex"):
         attacker_payoff([0.5, 0.6], [0.1, 0.1], [2.0, 2.0], 1.0)
+
+
+@pytest.mark.parametrize("a", [
+    [np.nan, np.nan],
+    [np.nan, 1.0],
+    [np.inf, 0.0],
+    [np.inf, -np.inf],
+])
+def test_attacker_payoff_rejects_non_finite_attack(a):
+    with pytest.raises(ValueError, match="simplex"):
+        attacker_payoff(a, [0.1, 0.1], [2.0, 2.0], 1.0)
 
 
 # ---------------------------------------------------------------------------

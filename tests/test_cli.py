@@ -501,6 +501,45 @@ def test_sweep_reports_an_optimum_failure_below_the_equilibrium_failure(capsys, 
     assert run_cli(capsys, *argv) == stacked
 
 
+def _six_node_sweep(tmp_path):
+    path = tmp_path / "graph.txt"
+    path.write_text("0 1\n1 2\n2 3\n3 4\n1 4\n0 5\n", encoding="utf-8")
+    return ["sweep-investments", "--edges", str(path), "--p-grid", "0:1:11"]
+
+
+@pytest.mark.parametrize("index", [7, 8, 10])
+def test_sweep_reports_the_equilibrium_failure_at_or_below_an_optimum_failure(
+    capsys, monkeypatch, tmp_path, index
+):
+    # The equilibrium fails at p = 0.7, grid index 7.  An optimum failure at
+    # the same point or above it leaves that report unchanged, and the
+    # optimum still solves the whole block.
+    argv = _six_node_sweep(tmp_path)
+    real = run_cli(capsys, *argv)
+    assert real[0] == 3 and real[2].startswith("netsec: solver did not converge: at p = 0.7: best-response")
+    blocks = []
+
+    def failing_optimum(disses, params, **options):
+        blocks.append(len(disses))
+        raise NonConvergenceError("forced optimum failure", index=index)
+
+    monkeypatch.setattr(game, "social_optimum_numeric", failing_optimum)
+    assert run_cli(capsys, *argv) == real
+    assert blocks == [11]
+
+
+def test_sweep_reports_an_optimum_failure_below_the_equilibrium_failure_first(
+    capsys, monkeypatch, tmp_path
+):
+    def failing_optimum(disses, params, **options):
+        raise NonConvergenceError("forced optimum failure", index=6)
+
+    monkeypatch.setattr(game, "social_optimum_numeric", failing_optimum)
+    assert run_cli(capsys, *_six_node_sweep(tmp_path)) == (
+        3, "", "netsec: solver did not converge: at p = 0.6: forced optimum failure\n"
+    )
+
+
 def test_number_formatting_12_digits(capsys):
     _, out, _ = run_cli(
         capsys, "disseminate", "--topology", "complete", "--n", "3", "--p", "0.123456789",

@@ -60,6 +60,19 @@ def test_social_optimum_random_p_zero_matches_nash():
     assert np.array_equal(social_optimum_random(docs, 1.5), nash_random(6, 1.5))
 
 
+@pytest.mark.parametrize("docs", [
+    [np.nan, 2.0],
+    [np.inf, 2.0],
+    [0.5, 2.0],
+    [1.0, 2.5],
+    np.nan,
+])
+def test_social_optimum_random_rejects_documents_outside_one_to_n(docs):
+    # NaN passes a plain two-sided comparison, and would come back as a NaN investment.
+    with pytest.raises(ValueError, match="expected documents must be finite numbers in"):
+        social_optimum_random(docs, 1.0)
+
+
 # Dissemination routes and closed forms that take p, and closed forms that
 # take a common document count d in [1, n], here with n = 5.
 BY_P = {
@@ -413,6 +426,14 @@ def test_iterative_solvers_reject_non_positive_tol(solver, tol):
     g = ring_graph(5)
     with pytest.raises(ValueError, match="tol must be positive"):
         solver(_closed_diss(g, 0.5), Params(), tol=tol)
+
+
+@pytest.mark.parametrize("max_iter", [0, -3])
+@pytest.mark.parametrize("solver", [best_response_dynamics, social_optimum_numeric])
+def test_iterative_solvers_reject_an_empty_budget(solver, max_iter):
+    g = ring_graph(5)
+    with pytest.raises(ValueError, match="^max_iter must be at least 1$"):
+        solver(_closed_diss(g, 0.5), Params(), max_iter=max_iter)
 
 
 def test_brd_star_curve_shape():
