@@ -171,29 +171,31 @@ def _cmd_attack(args) -> str:
 
 
 def _equilibrium_q(g: Graph, diss, params: Params, regime: str, numeric: bool):
+    """The regime's GameOutcome: the iterative solver's own, or that of a closed form."""
     docs = diss.expected_docs
     n = g.n
     if regime == game.NASH_RANDOM:
-        return game.nash_random(n, params.alpha)
-    if regime == game.OPT_RANDOM:
-        return game.social_optimum_random(docs, params.alpha)
+        q = game.nash_random(n, params.alpha)
+    elif regime == game.OPT_RANDOM:
+        q = game.social_optimum_random(docs, params.alpha)
     # Monte Carlo docs on a ring or complete graph are never exactly equal.
-    closed_ok = g.topology in _VT_TOPOLOGIES and not numeric and game._is_homogeneous(docs)
-    if regime == game.NASH_STRATEGIC:
-        if closed_ok:
-            return game.nash_strategic_vt(docs, n, params.alpha, params.omega)
-        return game.best_response_dynamics(diss, params).q
-    if closed_ok:
-        return game.social_optimum_strategic_vt(docs, n, params.alpha)
-    return game.social_optimum_numeric(diss, params).q
+    elif g.topology in _VT_TOPOLOGIES and not numeric and game._is_homogeneous(docs):
+        if regime == game.NASH_STRATEGIC:
+            q = game.nash_strategic_vt(docs, n, params.alpha, params.omega)
+        else:
+            q = game.social_optimum_strategic_vt(docs, n, params.alpha)
+    elif regime == game.NASH_STRATEGIC:
+        return game.best_response_dynamics(diss, params)
+    else:
+        return game.social_optimum_numeric(diss, params)
+    return game.evaluate_outcome(diss, params, q, regime)
 
 
 def _cmd_equilibrium(args) -> str:
     g = _resolve_graph(args)
     params = Params(args.alpha, args.omega)
     diss = _resolve_dissemination(g, args.p, args)
-    q = _equilibrium_q(g, diss, params, args.regime, args.numeric)
-    outcome = game.evaluate_outcome(diss, params, q, args.regime)
+    outcome = _equilibrium_q(g, diss, params, args.regime, args.numeric)
     lines = ["i,q_i,a_i,reward_i"]
     for i in range(g.n):
         lines.append(
@@ -209,18 +211,17 @@ def _cmd_equilibrium(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _regime_profiles(g: Graph, grid, args):
+def _regime_profiles(g: Graph, grid, params: Params, args):
     """Investments under each of game.REGIMES, in order, at every grid point
     of a star or custom graph.
 
-    One Params holds the command's costs for every point.  Points are
+    `params` holds the command's costs for every point.  Points are
     solved in grid order, in blocks whose stacked reach matrices fit in
     _SWEEP_BLOCK_BYTES; each block's strategic equilibria and social optima
     come from one stacked call each over the whole block.  A failure names
     its p: the lowest failing point's, the equilibrium's first at a tie, as
     a point-by-point sweep meets it.
     """
-    params = Params(args.alpha, args.omega)
     block = max(1, _SWEEP_BLOCK_BYTES // (8 * g.n * g.n))
     profiles = []
     for first in range(0, len(grid), block):
@@ -236,32 +237,33 @@ def _regime_profiles(g: Graph, grid, args):
             failed = min(failures, key=lambda exc: exc.index)  # the equilibrium's on ties
             raise NonConvergenceError(f"at p = {_fmt(points[failed.index])}: {failed}") from failed
         for diss, q_ns, q_os in zip(disses, *solved):
-            q_or = game.social_optimum_random(diss.expected_docs, args.alpha)
-            profiles.append([game.nash_random(g.n, args.alpha), q_or, q_ns.q, q_os.q])
+            q_or = game.social_optimum_random(diss.expected_docs, params.alpha)
+            profiles.append([game.nash_random(g.n, params.alpha), q_or, q_ns.q, q_os.q])
     return profiles
 
 
 def _cmd_sweep_investments(args) -> str:
     g = _resolve_graph(args)
-    Params(args.alpha, args.omega)  # checks the costs before any grid point
+    params = Params(args.alpha, args.omega)  # checks the costs before any grid point
     grid = _parse_grid(args.p_grid)
     n = g.n
     if _vt_closed_forms(g, args):
         header = ["p", "q_NR", "q_OR", "q_NS", "q_OS"]
 
         def row(p):
-            d = topology_docs(g.topology, n, p)[0]
-            q_nr = 1.0 / (args.alpha * n)
-            q_or = d / (args.alpha * n)
+            docs = topology_docs(g.topology, n, p)
+            d = docs[0]  # a scalar: averaging the row can move the last bit
+            q_or = game.social_optimum_random(docs, args.alpha)[0]
             q_ns = game.nash_strategic_vt(d, n, args.alpha, args.omega)[0]
-            return [p, q_nr, q_or, q_ns, q_or]
+            q_os = game.social_optimum_strategic_vt(d, n, args.alpha)[0]
+            return [p, game.nash_random(n, args.alpha)[0], q_or, q_ns, q_os]
 
         rows = [row(p) for p in grid]
     else:
         header = ["p"]
         for tag in ("q_NR", "q_OR", "q_NS", "q_OS"):
             header.extend(f"{tag}_{i}" for i in range(n))
-        profiles = _regime_profiles(g, grid, args)
+        profiles = _regime_profiles(g, grid, params, args)
         rows = [[p, *np.concatenate(profile)] for p, profile in zip(grid, profiles)]
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in vals) for vals in rows)
@@ -306,7 +308,7 @@ def _cmd_crossover(args) -> str:
         metrics = [("strengthen_from", lo), ("strengthen_to", hi)]
     elif g.topology == STAR:
         grid = _parse_grid(args.p_grid)
-        profiles = _regime_profiles(g, grid, args)
+        profiles = _regime_profiles(g, grid, Params(args.alpha, args.omega), args)
         for label, idx in (("center", 0), ("leaf", 1)):
             gaps = np.array([q_ns[idx] - q_os[idx] for _, _, q_ns, q_os in profiles])
             found = False

@@ -341,8 +341,6 @@ def complete_pair_reach(n: int, p: float) -> float:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     _check_p(p)
-    if n == 2:
-        return p
     if n == 3:
         return p + p**2 - p**3
     q, pair_weights = _complete_tables(n, p)

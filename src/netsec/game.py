@@ -352,48 +352,29 @@ def best_response_dynamics(
     NonConvergenceError raised is the one the lowest failing point raises
     alone, with that point's position as `index` (None when a single point
     was given).  The solve copies the points' n x n reach matrices into one
-    array, 8 n^2 bytes a point on top of the inputs, so callers bound the
-    number of points: the CLI sweeps pass blocks of 16 MB.
+    stack, 8 n^2 bytes a point on top of the inputs, held from the first
+    sweep through the certificate, so callers bound the number of points:
+    the CLI sweeps pass blocks of 16 MB.
     """
     single, disses, docs = _stack_points(diss, tol, max_iter)
     alpha, omega = params.alpha, params.omega
     rows, n = docs.shape
-
-    def stack(which):  # docs and reach of these points, one row each
-        return docs[which], np.array([disses[b].reach for b in which])
-
+    reach = np.array([d.reach for d in disses])
     x = np.tile(np.full(n, 0.5) if q0 is None else _as_security(q0, n), (rows, 1))
     last = np.empty((rows, n))
     history = [([], []) for _ in range(rows)]  # per point: outputs, residuals
-    seen = [{} for _ in range(rows)]
+    seen = [{x[b].tobytes(): 1} for b in range(rows)]  # per point: starts without history
     reason, sweeps = [None] * rows, [max_iter] * rows
     prev, delta = [np.inf] * rows, [0.0] * rows
     accelerate = [True] * rows
-    live = list(range(rows))
-    stacked, walk = None, _walk_constants(rows, n)
+    live, walk = list(range(rows)), _walk_constants(rows, n)
     for sweep in range(1, max_iter + 1):
-        for b in live:
-            if not history[b][0]:  # the profile alone fixes what follows
-                key = x[b].tobytes()
-                if key in seen[b]:
-                    if not accelerate[b]:
-                        reason[b] = f"sweep {sweep} repeats the profile of sweep {seen[b][key]}"
-                        sweeps[b] = sweep
-                        continue
-                    accelerate[b], seen[b] = False, {}  # plain sweeps from here on
-                seen[b][key] = sweep
-        live = [b for b in live if reason[b] is None]
-        if not live:
-            break
-        if stacked != live:  # restack only when points finish
-            sub_reach = None  # frees the old stack first
-            sub_docs, sub_reach = stack(live)
-            stacked = live
-        start = x[live]
+        rows_live = np.array(live)
+        start, sub_docs = x[rows_live], docs[rows_live]
         q = start.copy()
         for i in range(n):
-            q[:, i] = _best_response(i, q, sub_docs, sub_reach[:, i], alpha, omega, walk)
-        last[live] = q
+            q[:, i] = _best_response(i, q, sub_docs, reach[rows_live, i], alpha, omega, walk)
+        last[rows_live] = q
         for j, (b, moved) in enumerate(zip(live, np.abs(q - start).max(axis=1).tolist())):
             outputs, residuals = history[b]
             delta[b] = moved
@@ -404,6 +385,14 @@ def best_response_dynamics(
                 outputs.clear()
                 residuals.clear()
                 x[b], prev[b] = q[j], np.inf
+                key = q[j].tobytes()  # the profile alone fixes what follows
+                if sweep < max_iter and key in seen[b]:
+                    if not accelerate[b]:
+                        reason[b] = f"sweep {sweep + 1} repeats the profile of sweep {seen[b][key]}"
+                        sweeps[b] = sweep + 1
+                        continue
+                    accelerate[b], seen[b] = False, {}  # plain sweeps from here on
+                seen[b][key] = sweep + 1
                 continue
             outputs.append(q[j])
             residuals.append(q[j] - start[j])
@@ -413,11 +402,12 @@ def best_response_dynamics(
                 d_res = np.diff(residuals, axis=0).T
                 gamma = np.linalg.lstsq(d_res, residuals[-1], rcond=None)[0]
                 x[b] = np.clip(q[j] - np.diff(outputs, axis=0).T @ gamma, 0.0, 1.0)
-        live = [b for b in live if delta[b] > tol]
+        live = [b for b in live if delta[b] > tol and reason[b] is None]
+        if not live:
+            break
     for b in live:
         reason[b] = f"no convergence in {max_iter} sweeps (last sweep moved {delta[b]:.3e})"
-    sub_reach = None  # frees the sweep stack before the certificate builds its own
-    gains, agents = _nash_gap(last, *stack(range(rows)), alpha, omega)
+    gains, agents = _nash_gap(last, docs, reach, alpha, omega)
     errors = [None] * rows
     for b, why in enumerate(reason):
         if why is None and gains[b] > tol:

@@ -4,7 +4,7 @@ import pytest
 from netsec import cli, game
 from netsec.dissemination import Params, complete_docs, disseminate
 from netsec.game import NonConvergenceError
-from netsec.graph import ring_graph
+from netsec.graph import ring_graph, star_graph
 from reed_frost import complete_reach_oracle
 
 
@@ -139,6 +139,36 @@ def test_equilibrium_star_strategic_uses_numeric(capsys):
     q_center = float(lines[1].split(",")[1])
     q_leaf = float(lines[2].split(",")[1])
     assert q_center > q_leaf  # the hub carries more risk below p=1
+
+
+@pytest.mark.parametrize("regime, solver", [
+    ("nash-strategic", game.best_response_dynamics),
+    ("opt-strategic", game.social_optimum_numeric),
+])
+def test_equilibrium_prints_the_solvers_own_outcome(capsys, monkeypatch, regime, solver):
+    # The iterative solver's outcome is printed as it comes back, so the
+    # command evaluates it (one checked attack solve) once, not twice.
+    argv = ("equilibrium", "--topology", "star", "--n", "5", "--p", "0.5", "--regime", regime)
+    calls = []
+    real = game.evaluate_outcome
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(game, "evaluate_outcome", counting)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err, len(calls)) == (0, "", 1)
+    diss = disseminate(star_graph(5), 0.5, "closed")
+    outcome = real(diss, Params(), solver(diss, Params()).q, regime)
+    lines = parse_csv_block(out)
+    assert lines[1:6] == [
+        f"{i},{cli._fmt(outcome.q[i])},{cli._fmt(outcome.attack_vector[i])},"
+        f"{cli._fmt(outcome.rewards[i])}"
+        for i in range(5)
+    ]
+    lam, n_star = outcome.attack.lam, outcome.attack.n_star
+    assert lines[7] == f"{cli._fmt(outcome.welfare)},{cli._fmt(lam)},{n_star}"
 
 
 def test_equilibrium_random_regime_summary_lambda_nan(capsys):

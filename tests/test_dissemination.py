@@ -291,6 +291,14 @@ def test_complete_small_cases_exact():
         assert complete_pair_reach(3, p) == p + p**2 - p**3
 
 
+def test_complete_pair_reach_of_two_agents_is_p_from_the_tables():
+    # Two agents reach each other only over their one edge; the general
+    # recursion gives p bit for bit, with no special case for n = 2.
+    for p in np.linspace(0.0, 1.0, 3001):
+        assert complete_pair_reach(2, float(p)) == p
+        assert complete_docs(2, float(p)) == 1.0 + p
+
+
 def test_ring3_equals_complete3():
     for p in P_GRID:
         ring = reach_closed_form(ring_graph(3), p)

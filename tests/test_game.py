@@ -325,6 +325,28 @@ def test_brd_stops_on_repeated_profile(p):
     assert err.value.last_q.shape == (6,)
 
 
+def test_brd_cycle_check_at_the_edge_of_the_budget():
+    # The sweep that restarts a point from its plain output checks that
+    # profile as the start of the next sweep, which only exists within
+    # max_iter.  Here sweep 136 repeats the profile of sweep 128; the
+    # numbers come from lstsq, so they are read from an unbounded run.
+    diss = reach_exact(load_edge_list(SIX_NODE), 0.7)
+    with pytest.raises(NonConvergenceError, match="repeats the profile") as cycle:
+        best_response_dynamics(diss, Params())
+    repeat = cycle.value.iterations
+    with pytest.raises(NonConvergenceError) as short:
+        best_response_dynamics(diss, Params(), max_iter=repeat - 1)
+    assert f"no convergence in {repeat - 1} sweeps" in str(short.value)
+    assert short.value.iterations == repeat - 1
+    assert short.value.last_q.tobytes() == cycle.value.last_q.tobytes()
+    for max_iter in (repeat, repeat + 1):
+        with pytest.raises(NonConvergenceError) as err:
+            best_response_dynamics(diss, Params(), max_iter=max_iter)
+        assert str(err.value) == str(cycle.value)
+        assert err.value.iterations == repeat
+        assert err.value.last_q.tobytes() == cycle.value.last_q.tobytes()
+
+
 def test_brd_kernel_budget(monkeypatch):
     # Best responses are closed-form region walks; only the Nash-gap
     # certificate evaluates rewards through the water-fill kernel, n + 1
