@@ -4,7 +4,8 @@ Defenders pick investments q first; the attacker best-responds.  Against a
 random (uniform) attack both the Nash equilibrium and the social optimum
 have closed forms on any graph.  Against a strategic attack, closed forms
 exist when every agent expects the same document count (vertex-transitive
-networks); general graphs are handled by best-response dynamics and
+networks); general graphs are handled by Newton steps on the
+best-response map, with best-response dynamics as the fallback, and by
 projected Newton ascent on welfare.  An agent's reward is piecewise
 quadratic in its own investment, one piece per attacker active set, with
 upward kinks between pieces: best responses walk those pieces exactly,
@@ -51,7 +52,7 @@ OPT_STRATEGIC = "opt-strategic"
 REGIMES = (NASH_RANDOM, OPT_RANDOM, NASH_STRATEGIC, OPT_STRATEGIC)
 
 _HOMOGENEITY_TOL = 1e-9
-_ANDERSON_WINDOW = 4  # sweeps kept for extrapolation in best_response_dynamics
+_ANDERSON_WINDOW = 4  # sweeps kept for extrapolation in the fallback sweeps
 
 
 class NonConvergenceError(RuntimeError):
@@ -198,12 +199,13 @@ def _walk_constants(rows, n):
     return np.arange(0, rows * n, n)[:, None], m, k, -k, k[:-1], np.maximum(m, 1)
 
 
-def _best_response(i, q, docs, reach_i, alpha, omega, walk):
-    """Agent i's exact global best response q_i in [0, 1] to the others' q,
-    for each row of a stack.
+def _best_response(agent, q, docs, reach_i, alpha, omega, walk, jacobian=False):
+    """Each row's agent's exact global best response q_i in [0, 1] to the
+    others' q, for each row of a stack.
 
-    q and docs are (B, n) and reach_i holds agent i's reach row of each
-    point (B, n); the points share alpha and omega.  Returns (B,).
+    q and docs are (B, n), `agent` holds each row's agent i, (B,) or one
+    index for every row, and reach_i holds that agent's reach row of the
+    row's point (B, n); the points share alpha and omega.  Returns (B,).
     `walk` is `_walk_constants(B', n)` for some B' >= B, built once per
     solve.  The reward is continuous and piecewise quadratic in q_i, one
     piece per attacker active set, with upward kinks where the set changes.
@@ -217,22 +219,30 @@ def _best_response(i, q, docs, reach_i, alpha, omega, walk):
     keeps the best (ties to the smallest q_i).  Once agent i is not
     attacked only its own cost moves, so an agent not attacked at q_i = 0
     best-responds with 0.  No water-fill is called.
+
+    With jacobian=True also returns the (B, n) derivatives of the best
+    response in the others' q, within the chosen region m.  At an interior
+    optimum the m attacked others j move it by
+    (r_ii docs_j + docs_i r_ij) / (k omega (alpha + 2 quad)) through the
+    water level and the weight; on a region bound it follows that bound,
+    and a best response clipped to 0 or 1 does not move.
     """
     rows, n = q.shape
     offsets, m, k, neg_k, k_enter, m_floor = walk
     offsets = offsets[:rows]
+    row = np.arange(rows)
     y_all = 1.0 - q
     v = y_all * docs
     w = y_all * reach_i
     key = -v
-    key[:, i] = -np.inf  # agent i sorts first, as a zero, so each prefix
-    v[:, i] = 0.0  # sum starts from 0 over the others sorted descending
-    w[:, i] = 0.0
+    key[row, agent] = -np.inf  # agent i sorts first, as a zero, so each prefix
+    v[row, agent] = 0.0  # sum starts from 0 over the others sorted descending
+    w[row, agent] = 0.0
     order = key.argsort(axis=1, kind="stable")
     order += offsets
     s = v.take(order)
     w = w.take(order)
-    d, r = docs[:, i, None], reach_i[:, i, None]
+    d, r = docs[row, agent][:, None], reach_i[row, agent][:, None]
     # Prefix sums by np.add.accumulate, which skips the per-call wrapper
     # cost of the cumsum method on these small rows.
     lam0 = (omega - np.add.accumulate(s, axis=1)) / k
@@ -244,47 +254,112 @@ def _best_response(i, q, docs, reach_i, alpha, omega, walk):
     enter[:, :-1] = k_enter * (s[:, 1:] + lam0[:, :-1]) / d
     y_hi = np.ones((rows, n))
     np.minimum(enter[:, :-1], 1.0, out=y_hi[:, 1:])
-    y_lo = np.maximum(np.maximum(enter, neg_k * lam0 / (d * m_floor)), 0.0)
+    floor = neg_k * lam0 / (d * m_floor)
+    y_lo = np.maximum(np.maximum(enter, floor), 0.0)
     # reward - 1 = -(held + weight lam0) / omega - lin y - quad y^2
     #              - alpha (1 - y)^2 / 2 within region m.
     lin = (r * lam0 - weight * d / k) / omega
     quad = r * d * m / (k * omega)
     # An empty region (y_lo > y_hi) clips to y_hi; for region 0 that is
     # y = 1, the answer q_i = 0 when every region is empty.
-    y = np.minimum(np.maximum((alpha - lin) / (alpha + 2.0 * quad), y_lo), y_hi)
+    y_opt = (alpha - lin) / (alpha + 2.0 * quad)
+    y = np.minimum(np.maximum(y_opt, y_lo), y_hi)
     reward = (
         -(np.add.accumulate(s * w, axis=1) + weight * lam0) / omega
         - (lin + quad * y) * y
         - 0.5 * alpha * (1.0 - y) ** 2
     )
     reward[y_lo > y_hi] = -np.inf
-    return 1.0 - y.take(reward.argmax(axis=1) + offsets[:, 0])
+    pick = reward.argmax(axis=1) + offsets[:, 0]
+    y_c = y.take(pick)
+    if not jacobian:
+        return 1.0 - y_c
+    # In sorted positions: region mc's attacked others are positions 1..mc.
+    # Its top is where other mc enters, y = (mc s_mc + omega - S_{mc-1}) / d,
+    # its bottom where other mc + 1 enters or where agent i leaves,
+    # y = (S_mc - omega) / (d mc), with S the prefix sums of s.
+    mc = pick - offsets[:, 0]
+    y_opt_c, lo_c, hi_c = y_opt.take(pick), y_lo.take(pick), y_hi.take(pick)
+    moves = (y_c > 0.0) & (y_c < 1.0)
+    top = moves & (y_opt_c > hi_c)
+    low = moves & (y_opt_c < lo_c)
+    bottom = low & (enter.take(pick) >= floor.take(pick))
+    interior = moves & ~top & ~low
+    d_s = docs.take(order)
+    ratio = d_s / d
+    scale = k[mc] * omega * (alpha + 2.0 * quad.take(pick))
+    inner = (r * d_s + d * reach_i.take(order)) / scale[:, None]
+    bound = ratio * np.where(low & ~bottom, 1.0 / m_floor[mc], -1.0)[:, None]
+    slope = np.where(interior[:, None], inner, bound)
+    slope[(m == 0) | (m > mc[:, None]) | ~moves[:, None]] = 0.0
+    edge = np.where(top, mc, np.where(bottom, mc + 1, -1))[:, None]
+    slope = np.where(m == edge, m * ratio, slope)  # the entering other's own v
+    jac = np.empty(rows * n)
+    jac[order] = slope
+    return 1.0 - y_c, jac.reshape(rows, n)
 
 
-def _rewards(q, docs, reach, alpha, omega):
-    """Each row's rewards at a stack q against the attacker's best response."""
-    a = _water_fill((1.0 - q) * docs, omega)[0]
-    return 1.0 - breach_probabilities(a, q, reach) - 0.5 * alpha * q**2
+_PAIR_BLOCK = 1 << 16  # entries of the (point, agent) rows one kernel call takes
 
 
-def _nash_gap(q, docs, reach, alpha, omega):
+def _pair_blocks(rows, n):
+    """The rows * n (point, agent) pairs of a stack in consecutive blocks of
+    at most `_PAIR_BLOCK` // n pairs (one at least), each as (pairs,
+    points, agents): the slice and each pair's point and agent.  Blocking
+    keeps the work arrays of an all-agent call near 0.5 MB each."""
+    size = max(1, _PAIR_BLOCK // n)
+    for start in range(0, rows * n, size):
+        pair = np.arange(start, min(start + size, rows * n))
+        yield slice(pair[0], pair[-1] + 1), pair // n, pair % n
+
+
+def _best_responses(q, docs, reach, alpha, omega, walk, jacobian=False):
+    """Every agent's best response at each row of a stack, (B, n), from
+    kernel calls over all (point, agent) pairs, each reading its agent's
+    reach row; with jacobian=True also the (B, n, n) Jacobian of that
+    simultaneous best-response map.  `walk` covers B n rows."""
+    rows, n = q.shape
+    best, jac = np.empty(rows * n), np.empty((rows * n, n) if jacobian else 0)
+    reach_rows = reach.reshape(rows * n, n)
+    for pairs, points, agents in _pair_blocks(rows, n):
+        out = _best_response(
+            agents, q[points], docs[points], reach_rows[pairs], alpha, omega, walk, jacobian
+        )
+        if jacobian:
+            best[pairs], jac[pairs] = out
+        else:
+            best[pairs] = out
+    return (best.reshape(rows, n), jac.reshape(rows, n, n)) if jacobian else best.reshape(rows, n)
+
+
+def _nash_gap(q, docs, reach, alpha, omega, best=None):
     """Per row of a stack, the largest reward an agent gains by deviating
     alone to its exact best response, and that agent; zero, up to rounding,
     at a Nash equilibrium.
 
     q and docs are (B, n) and reach is (B, n, n); the points share alpha
-    and omega.  Returns two (B,) arrays from n + 1 stacked reward calls.
+    and omega.  `best` holds the agents' best responses at q when the
+    caller has them.  Takes one all-agent best-response call and one water
+    fill at q and one over the B n deviations (in blocks on large stacks).
+    Each agent's reward reads only its own reach row, the same way at q as
+    after deviating, so an agent whose best response is its q_i gains 0.
     """
     rows, n = q.shape
-    walk = _walk_constants(rows, n)
-    base = _rewards(q, docs, reach, alpha, omega)
-    gains = np.empty((rows, n))
-    for i in range(n):
-        deviation = q.copy()
-        deviation[:, i] = _best_response(i, q, docs, reach[:, i], alpha, omega, walk)
-        gains[:, i] = _rewards(deviation, docs, reach, alpha, omega)[:, i] - base[:, i]
-    agents = gains.argmax(axis=1)
-    return gains[np.arange(rows), agents], agents
+    if best is None:
+        best = _best_responses(q, docs, reach, alpha, omega, _walk_constants(rows * n, n))
+    stolen = _water_fill((1.0 - q) * docs, omega)[0] * (1.0 - q)
+    reach_rows, best, gains = reach.reshape(rows * n, n), best.ravel(), np.empty(rows * n)
+    for pairs, points, agents in _pair_blocks(rows, n):
+        deviation = q[points]
+        deviation[np.arange(len(agents)), agents] = best[pairs]
+        a = _water_fill((1.0 - deviation) * docs[points], omega)[0]
+        own = reach_rows[pairs]
+        at_q = 1.0 - _row_dot(own, stolen[points]) - 0.5 * alpha * q.ravel()[pairs] ** 2
+        moved = 1.0 - _row_dot(own, a * (1.0 - deviation)) - 0.5 * alpha * best[pairs] ** 2
+        gains[pairs] = moved - at_q
+    gains = gains.reshape(rows, n)
+    agent = gains.argmax(axis=1)
+    return gains[np.arange(rows), agent], agent
 
 
 def _stack_points(diss, tol, max_iter):
@@ -314,60 +389,84 @@ def _stack_outcomes(single, disses, params, qs, errors, regime):
     return outcomes[0] if single else outcomes
 
 
-def best_response_dynamics(
-    diss: Dissemination | Sequence[Dissemination],
-    params: Params,
-    q0=None,
-    tol: float = 1e-8,
-    max_iter: int = 500,
-) -> GameOutcome | list[GameOutcome]:
-    """Cyclic exact best-response iteration for the strategic investment
-    game, accelerated by extrapolation.
+def _solve_rows(a, b):
+    """Each row's solution of a (B, n, n) stack a x = b with b (B, n), by
+    one batched LAPACK call; a row whose matrix is singular gets NaN and
+    leaves the others' bytes as they would be alone."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for j in range(len(b)):
+            try:
+                out[j] = np.linalg.solve(a[j : j + 1], b[j : j + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
-    A sweep updates every agent once, in fixed ascending order.  The next
-    sweep starts from the Anderson (type-II) extrapolation of the last
-    `_ANDERSON_WINDOW` sweeps: their outputs combined with the weights that
-    best cancel their residuals by least squares, clipped to [0, 1]
-    (Walker and Ni, SIAM J. Numer. Anal. 2011).  A sweep that moves no less
-    than the one before drops that history and starts from its own output.
-    Once a sweep moves no investment by more than tol, the profile is
-    certified by its Nash gap: it is returned only if no agent gains more
-    than tol by deviating alone.  A pure strategic equilibrium need not
-    exist on a general graph, because rewards kink upward in q_i, so
-    NonConvergenceError (carrying the last iterate and its Nash gap) is
-    raised when the gap fails, past max_iter sweeps, or on a cycle: a
-    sweep starting without history from the profile an earlier one started
-    from.  The first cycle only switches to plain sweeps; a second ends the
-    iteration.
 
-    `diss` may instead be a sequence of disseminations, one per point (a
-    p grid, say), with the same number of agents, solved with the same
-    `params` from the same start q0; a ValueError says if the sequence is
-    empty or the counts differ.  The points' GameOutcomes come back as a
-    list in input order.  Each sweep takes one stacked best-response call
-    per agent over the points still iterating, while the extrapolation
-    history, restarts, cycle detection and certificate stay per point, so
-    every point gets the bytes a call with it alone would.  Both stacked
-    solvers run every point to its own end; if any fails, the
-    NonConvergenceError raised is the one the lowest failing point raises
-    alone, with that point's position as `index` (None when a single point
-    was given).  The solve copies the points' n x n reach matrices into one
-    stack, 8 n^2 bytes a point on top of the inputs, held from the first
-    sweep through the certificate, so callers bound the number of points:
-    the CLI sweeps pass blocks of 16 MB.
+_NEWTON_STEPS = 8  # Newton steps a point may take before it falls back to the sweeps
+_NEWTON_HALVINGS = 4  # step halvings a Newton line search may try
+
+
+def _newton(x, docs, reach, alpha, omega, tol, walk):
+    """Semismooth Newton on F(q) = BR(q) - q from x for each row of a stack,
+    with BR the simultaneous best response of all agents.
+
+    Each step solves (I - J) d = F with J the closed-form Jacobian of BR
+    in the current regions, and halves the step from 1 until the
+    box-clipped trial shrinks max |F| by the factor 1 - 1e-4 t.  A row
+    settles once max |F| <= tol, and leaves without settling when its
+    line search fails, its system is singular or it has taken
+    `_NEWTON_STEPS` steps.  Returns each row's last iterate and whether
+    its Nash gap, taken once over the settled rows, certifies it.
     """
-    single, disses, docs = _stack_points(diss, tol, max_iter)
-    alpha, omega = params.alpha, params.omega
+    rows, n = x.shape
+    q, residual = x.copy(), np.full(rows, np.inf)  # iterate and its max |F|
+    direction, length, steps = np.zeros((rows, n)), np.ones(rows), np.full(rows, -1)
+    settled, best = np.zeros(rows, dtype=bool), np.empty((rows, n))
+    live, eye = np.arange(rows), np.eye(n)
+    # Each round evaluates one trial per live row: x itself at first, then
+    # the iterate plus `length` times its direction.  A row whose trial
+    # passes moves there and takes a new direction; one whose trial fails
+    # halves its length.
+    while live.size:
+        trial = np.clip(q[live] + length[live, None] * direction[live], 0.0, 1.0)
+        response, jac = _best_responses(trial, docs[live], reach[live], alpha, omega, walk, True)
+        shift = response - trial
+        size = np.abs(shift).max(axis=1)
+        taken = size <= (1.0 - 1e-4 * length[live]) * residual[live]
+        moved = live[taken]
+        q[moved], residual[moved], best[moved] = trial[taken], size[taken], response[taken]
+        steps[moved] += 1
+        length[live[~taken]] *= 0.5
+        settled[moved] = size[taken] <= tol
+        going = taken & (size > tol) & (steps[live] < _NEWTON_STEPS)
+        if going.any():
+            direction[live[going]] = _solve_rows(eye - jac[going], shift[going])
+            length[live[going]] = 1.0
+        searching = ~taken & (length[live] >= 0.5**_NEWTON_HALVINGS)
+        live = live[(going | searching) & np.isfinite(direction[live]).all(axis=1)]
+    certified = settled.copy()
+    if settled.any():
+        gains = _nash_gap(q[settled], docs[settled], reach[settled], alpha, omega, best[settled])[0]
+        certified[settled] = gains <= tol
+    return q, certified
+
+
+def _sweeps(x, docs, reach, alpha, omega, tol, max_iter, walk):
+    """Anderson-accelerated cyclic best-response sweeps from x for each row
+    of a stack, as `best_response_dynamics` describes them: each row's last
+    profile, (B, n), and its NonConvergenceError or None."""
     rows, n = docs.shape
-    reach = np.array([d.reach for d in disses])
-    x = np.tile(np.full(n, 0.5) if q0 is None else _as_security(q0, n), (rows, 1))
+    x = x.copy()
     last = np.empty((rows, n))
     history = [([], []) for _ in range(rows)]  # per point: outputs, residuals
     seen = [{x[b].tobytes(): 1} for b in range(rows)]  # per point: starts without history
     reason, sweeps = [None] * rows, [max_iter] * rows
     prev, delta = [np.inf] * rows, [0.0] * rows
     accelerate = [True] * rows
-    live, walk = list(range(rows)), _walk_constants(rows, n)
+    live = list(range(rows))
     for sweep in range(1, max_iter + 1):
         rows_live = np.array(live)
         start, sub_docs = x[rows_live], docs[rows_live]
@@ -420,7 +519,82 @@ def best_response_dynamics(
                 residual=float(gains[b]),
                 iterations=sweeps[b],
             )
-    return _stack_outcomes(single, disses, params, last, errors, NASH_STRATEGIC)
+    return last, errors
+
+
+def best_response_dynamics(
+    diss: Dissemination | Sequence[Dissemination],
+    params: Params,
+    q0=None,
+    tol: float = 1e-8,
+    max_iter: int = 500,
+) -> GameOutcome | list[GameOutcome]:
+    """Strategic equilibrium by Newton steps on the best-response map, with
+    accelerated best-response sweeps as the fallback.
+
+    Write BR(q) for the exact best responses of all agents at once.  Fix
+    the regions (each agent's attacker active set, and the agents held at
+    0 or 1) and BR is affine, so F(q) = BR(q) - q is piecewise affine and a
+    Newton step solves it exactly once the regions are right (semismooth
+    Newton: Qi and Sun, Math. Programming 1993).  From q0, each point takes
+    up to `_NEWTON_STEPS` Newton steps with BR's Jacobian in closed form,
+    each halved from 1 until it shrinks max |F| (see `_newton`).  Once a
+    step leaves no investment more than tol from its best response, the
+    profile is certified by its Nash gap: it is returned only if no agent
+    gains more than tol by deviating alone.
+
+    A point that Newton does not certify (its steps ran out, its line
+    search failed, its system was singular, or the gap failed) runs the
+    sweeps from q0, as if Newton had not been tried, and max_iter bounds
+    those sweeps.  A sweep updates every agent once, in fixed ascending
+    order.  The next sweep starts from the Anderson (type-II) extrapolation
+    of the last `_ANDERSON_WINDOW` sweeps: their outputs combined with the
+    weights that best cancel their residuals by least squares, clipped to
+    [0, 1] (Walker and Ni, SIAM J. Numer. Anal. 2011).  A sweep that moves
+    no less than the one before drops that history and starts from its
+    own output.  Once a sweep moves no investment by more than tol, the
+    profile is certified by its Nash gap as above.  The certificate is the
+    only way out: a pure strategic equilibrium need not exist on a general
+    graph, because rewards kink upward in q_i, so NonConvergenceError
+    (carrying the sweeps' last iterate and its Nash gap) is raised when
+    the gap fails, past max_iter sweeps, or on a cycle: a sweep starting
+    without history from the profile an earlier one started from.  The
+    first cycle only switches to plain sweeps; a second ends the
+    iteration.
+
+    `diss` may instead be a sequence of disseminations, one per point (a
+    p grid, say), with the same number of agents, solved with the same
+    `params` from the same start q0; a ValueError says if the sequence is
+    empty or the counts differ.  The points' GameOutcomes come back as a
+    list in input order.  Each Newton step takes one best-response call
+    over every agent of the points still stepping, and each sweep one
+    stacked call per agent over the points still sweeping, while step
+    sizes, extrapolation history, restarts, cycle detection and
+    certificate stay per point, so every point gets the bytes a call with
+    it alone would.  Both stacked solvers run every point to its own end;
+    if any fails, the NonConvergenceError raised is the one the lowest
+    failing point raises alone, with that point's position as `index`
+    (None when a single point was given).  The solve copies the points'
+    n x n reach matrices into one stack, 8 n^2 bytes a point on top of
+    the inputs.  Newton holds a few more stacks of that size, its
+    Jacobians among them, and its kernel calls work in blocks of about
+    0.5 MB an array (`_PAIR_BLOCK`), so callers bound the number of
+    points: the CLI sweeps pass blocks of 16 MB.
+    """
+    single, disses, docs = _stack_points(diss, tol, max_iter)
+    alpha, omega = params.alpha, params.omega
+    rows, n = docs.shape
+    reach = np.array([d.reach for d in disses])
+    x = np.tile(np.full(n, 0.5) if q0 is None else _as_security(q0, n), (rows, 1))
+    walk = _walk_constants(rows * n, n)
+    q, certified = _newton(x, docs, reach, alpha, omega, tol, walk)
+    errors = [None] * rows
+    rest = np.flatnonzero(~certified)
+    if rest.size:
+        q[rest], rest_errors = _sweeps(x[rest], docs[rest], reach[rest], alpha, omega, tol, max_iter, walk)
+        for b, error in zip(rest.tolist(), rest_errors):
+            errors[b] = error
+    return _stack_outcomes(single, disses, params, q, errors, NASH_STRATEGIC)
 
 
 def _row_dot(x, y):

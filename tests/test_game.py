@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -349,39 +351,60 @@ def test_brd_cycle_check_at_the_edge_of_the_budget():
 
 def test_brd_kernel_budget(monkeypatch):
     # Best responses are closed-form region walks; only the Nash-gap
-    # certificate evaluates rewards through the water-fill kernel, n + 1
-    # stacked calls whatever the number of points.
+    # certificate evaluates rewards through the water-fill kernel: one call
+    # at the profiles and one over the n deviations of every point.  Newton
+    # certifies every point here, so the whole solve makes those two calls.
     calls = _record_fills(monkeypatch)
     g = star_graph(20)
     best_response_dynamics(_closed_diss(g, 0.9), Params())
-    assert sum(map(len, calls)) <= 2 * g.n
+    assert [len(rows) for rows in calls] == [1, g.n]
     calls.clear()
     grid = [0.3, 0.6, 0.9]
     best_response_dynamics([_closed_diss(g, p) for p in grid], Params())
-    assert sum(map(len, calls)) <= 2 * g.n * len(grid)
-    assert len(calls) == g.n + 1
+    assert [len(rows) for rows in calls] == [len(grid), g.n * len(grid)]
+
+
+def _record_kernel_agents(monkeypatch):
+    """Record the agent argument of every best-response kernel call: one
+    index from a sweep, an array of (point, agent) pairs otherwise."""
+    agents = []
+    real = game._best_response
+
+    def counting(agent, *args):
+        agents.append(agent)
+        return real(agent, *args)
+
+    monkeypatch.setattr(game, "_best_response", counting)
+    return agents
+
+
+def test_brd_newton_budget(monkeypatch):
+    # From the uniform start, Newton certifies the 20-star in two steps: the
+    # start and two trials take one all-agent kernel call each, and the
+    # certificate reuses the last.  A stack of points shares each call.
+    agents = _record_kernel_agents(monkeypatch)
+    g = star_graph(20)
+    best_response_dynamics(_closed_diss(g, 0.9), Params())
+    assert [np.size(a) for a in agents] == [g.n] * 3
+    agents.clear()
+    ps = (0.5, 0.7, 0.9)
+    best_response_dynamics([_closed_diss(g, p) for p in ps], Params())
+    assert [np.size(a) for a in agents] == [g.n * len(ps)] * 3
 
 
 def test_brd_sweep_budget(monkeypatch):
-    # Plain cyclic sweeps need 107 here, each step shrinking by about 0.84;
-    # extrapolating over the last sweeps certifies in under 30 (counting
-    # the certificate's n best responses).
-    calls = []
-    real = game._best_response
-
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(game, "_best_response", counting)
-    g = star_graph(20)
-    best_response_dynamics(_closed_diss(g, 0.9), Params())
-    assert len(calls) <= 30 * g.n
+    # Newton's line search fails on the 60-star at these p, so the points
+    # take the sweeps.  Plain cyclic sweeps need 109 at p = 0.3;
+    # extrapolating over the last sweeps certifies in under 30.
+    agents = _record_kernel_agents(monkeypatch)
+    g = star_graph(60)
+    best_response_dynamics(_closed_diss(g, 0.3), Params())
+    assert 0 < sum(np.ndim(a) == 0 for a in agents) <= 30 * g.n
     # A stack of points shares each call, so the budget holds for it too.
-    calls.clear()
-    ps = (0.5, 0.7, 0.9)
+    agents.clear()
+    ps = (0.1, 0.2, 0.3)
     best_response_dynamics([_closed_diss(g, p) for p in ps], Params())
-    assert len(calls) <= 30 * g.n
+    assert 0 < sum(np.ndim(a) == 0 for a in agents) <= 30 * g.n
 
 
 def _star_oracle(n, p):
@@ -426,6 +449,16 @@ def test_brd_certifies_star_equilibria(n, p):
     assert np.abs(out.q - oracle).max() <= 1e-7
 
 
+@pytest.mark.parametrize("n", [160, 240, 300])
+def test_brd_certifies_large_star_equilibria(n):
+    # Accelerated sweeps took about 300 sweeps on the 160-star and ran out
+    # of sweeps on the 240- and 300-stars; Newton lands on the equilibrium.
+    oracle, diss = _star_oracle(n, 0.9)
+    assert _nash_gap(oracle, diss) <= 1e-8
+    out = best_response_dynamics(diss, Params())
+    assert np.abs(out.q - oracle).max() <= 1e-12
+
+
 def test_brd_falls_back_to_plain_sweeps_after_a_cycle():
     # Extrapolated sweeps cycle on this graph at p = 0.7; plain sweeps from
     # the repeated profile certify an equilibrium.
@@ -436,9 +469,11 @@ def test_brd_falls_back_to_plain_sweeps_after_a_cycle():
 
 
 def test_brd_reports_exhausted_sweeps():
-    g = star_graph(20)
+    # Newton does not certify the 60-star at p = 0.3, so max_iter bounds
+    # the sweeps that follow.
+    g = star_graph(60)
     with pytest.raises(NonConvergenceError, match="no convergence in 3 sweeps") as err:
-        best_response_dynamics(_closed_diss(g, 0.9), Params(), max_iter=3)
+        best_response_dynamics(_closed_diss(g, 0.3), Params(), max_iter=3)
     assert err.value.iterations == 3
 
 
@@ -475,8 +510,8 @@ def test_brd_star_curve_shape():
 
 
 def test_brd_nonconvergence_error_payload():
-    g = ring_graph(5)
-    diss = _closed_diss(g, 0.5)
+    # Newton does not certify this point, so it takes the sweeps.
+    diss = reach_exact(load_edge_list(FIVE_NODE), 0.6413)
     with pytest.raises(NonConvergenceError) as err:
         best_response_dynamics(diss, Params(), max_iter=1, tol=1e-14)
     assert err.value.last_q is not None
@@ -595,6 +630,179 @@ def test_stacked_brd_checks_its_sequences():
         best_response_dynamics([], Params())
     with pytest.raises(ValueError, match="disagree"):
         best_response_dynamics([diss, _closed_diss(star_graph(5), 0.5)], Params())
+
+
+def _record_fallbacks(monkeypatch):
+    """Record how many points each call hands from Newton to the sweeps."""
+    counts = []
+    real = game._sweeps
+
+    def recording(x, *args):
+        counts.append(len(x))
+        return real(x, *args)
+
+    monkeypatch.setattr(game, "_sweeps", recording)
+    return counts
+
+
+def test_stacked_brd_mixes_newton_and_fallback_points(monkeypatch):
+    # Newton certifies most of this grid; from p = 0.1 to 0.4 its line
+    # search fails and those points take the sweeps, alone or in the stack.
+    counts = _record_fallbacks(monkeypatch)
+    disses = [_closed_diss(star_graph(60), p) for p in np.linspace(0.05, 0.95, 19)]
+    assert not _assert_stack_matches(disses)
+    fallbacks = counts[-1]
+    assert 0 < fallbacks < len(disses)
+    assert counts == [1] * fallbacks + [fallbacks]
+
+
+def _sweeps_alone(diss):
+    """The sweep routine called directly on one point with the solver's
+    defaults: q bytes, or the error's (message, residual, iterations,
+    last_q bytes)."""
+    n = diss.n
+    last, errors = game._sweeps(
+        np.full((1, n), 0.5), diss.expected_docs[None], diss.reach[None], 1.0, 1.0,
+        1e-8, 500, game._walk_constants(n, n),
+    )
+    error = errors[0]
+    if error is None:
+        return last[0].tobytes()
+    return str(error), error.residual, error.iterations, error.last_q.tobytes()
+
+
+@pytest.mark.parametrize("edges, p", [(FIVE_NODE, 0.6413), (SIX_NODE, 0.825), (SIX_NODE, 0.85)])
+def test_brd_fallback_points_match_the_sweeps_alone(monkeypatch, edges, p):
+    # Newton certifies none of these, so each gets what the sweeps give it.
+    counts = _record_fallbacks(monkeypatch)
+    diss = reach_exact(load_edge_list(edges), p)
+    [result] = _solve_each([diss])
+    assert counts == [1]
+    assert result == _sweeps_alone(diss)
+
+
+def test_brd_falls_back_on_a_singular_newton_system(monkeypatch):
+    # A point whose Newton system cannot be solved takes the sweeps from q0.
+    monkeypatch.setattr(game, "_solve_rows", lambda a, b: np.full(b.shape, np.nan))
+    counts = _record_fallbacks(monkeypatch)
+    diss = _closed_diss(star_graph(20), 0.9)
+    [result] = _solve_each([diss])
+    assert counts == [1]
+    assert result == _sweeps_alone(diss)
+
+
+def test_brd_returns_only_certified_profiles(monkeypatch):
+    # Newton lands on the 20-star's equilibrium, but with a certificate
+    # that never passes, neither it nor the sweeps may return a profile.
+    def failing_gap(q, *args):
+        return np.ones(len(q)), np.zeros(len(q), dtype=int)
+
+    monkeypatch.setattr(game, "_nash_gap", failing_gap)
+    counts = _record_fallbacks(monkeypatch)
+    with pytest.raises(NonConvergenceError, match="settled on a profile that is no equilibrium"):
+        best_response_dynamics(_closed_diss(star_graph(20), 0.9), Params())
+    assert counts == [1]
+
+
+def test_solve_rows_leaves_a_singular_row_nan():
+    rng = np.random.default_rng(3)
+    a = rng.random((3, 4, 4)) + 4.0 * np.eye(4)
+    b = rng.random((3, 4))
+    a[1] = 1.0  # rank one: LU meets an exact zero pivot
+    out = game._solve_rows(a, b)
+    assert np.isnan(out[1]).all()
+    for j in (0, 2):
+        assert out[j].tobytes() == game._solve_rows(a[j : j + 1], b[j : j + 1])[0].tobytes()
+        assert np.allclose(a[j] @ out[j], b[j], rtol=0, atol=1e-12)
+
+
+def test_sweep_kernel_keeps_its_bytes():
+    # The digest pins the per-agent best responses the sweeps take, as the
+    # kernel gave them while it took one agent index for a whole stack, so
+    # points that fall back to the sweeps keep their bytes.  The all-agent
+    # call that Newton and the certificate make gives the same bytes.
+    rng = np.random.default_rng(19)
+    digest = hashlib.sha256()
+    for diss in (
+        reach_exact(load_edge_list(SIX_NODE), 0.7),
+        reach_exact(load_edge_list(FIVE_NODE), 0.6413),
+        _closed_diss(star_graph(20), 0.9),
+    ):
+        rows, n = 6, diss.n
+        q = rng.random((rows, n))
+        q[rng.random((rows, n)) < 0.2] = 0.0  # some exactly 0 and 1
+        q[rng.random((rows, n)) < 0.2] = 1.0
+        docs, reach = np.tile(diss.expected_docs, (rows, 1)), np.tile(diss.reach, (rows, 1, 1))
+        walk = game._walk_constants(rows * n, n)
+        for alpha, omega in ((1.0, 1.0), (1.5, 2.0), (0.5, 0.3)):
+            each = np.empty((rows, n))
+            for i in range(n):
+                each[:, i] = game._best_response(i, q, docs, reach[:, i], alpha, omega, walk)
+                digest.update(each[:, i].tobytes())
+            every = game._best_responses(q, docs, reach, alpha, omega, walk)
+            assert every.tobytes() == each.tobytes()
+    assert digest.hexdigest() == "110ae726d346ab7a4d654fc06b885fa9bf79a7ceffcd1bdc9df6412168f3287d"
+
+
+def _newton_profiles(monkeypatch):
+    """The (q, docs, reach) at which Newton takes Jacobians on seeded random
+    graphs with alpha = omega = 1; the sweeps that follow stop after one."""
+    rng = np.random.default_rng(13)
+    profiles = []
+    real = game._best_responses
+
+    def recording(q, docs, reach, alpha, omega, walk, jacobian=False):
+        if jacobian:
+            profiles.extend(zip(q.copy(), docs, reach))
+        return real(q, docs, reach, alpha, omega, walk, jacobian)
+
+    monkeypatch.setattr(game, "_best_responses", recording)
+    for _ in range(30):
+        g = _random_connected_graph(rng, int(rng.integers(3, 8)))
+        disses = [reach_exact(g, p) for p in np.sort(rng.uniform(0.05, 0.95, 5))]
+        try:
+            best_response_dynamics(disses, Params(), max_iter=1)
+        except NonConvergenceError:
+            pass
+    monkeypatch.undo()
+    return profiles
+
+
+def test_best_response_jacobian_matches_central_differences(monkeypatch):
+    # Where the best-response map is affine around q in q_j (both one-sided
+    # differences agree), the closed-form Jacobian column equals the central
+    # difference.  Random profiles reach interior optima, the floor where an
+    # agent leaves the attack and responses clipped to 0; alpha = 0.05,
+    # below the model's range but within the kernel's, clips responses to 1
+    # with attacked others.  The profiles Newton visits on random graphs add
+    # near-equilibrium ones.  A response held on the bound where another
+    # agent enters was only seen at kinks of the map, which this cannot check.
+    cases = [(q, docs, reach, 1.0, 1.0) for q, docs, reach in _newton_profiles(monkeypatch)]
+    rng = np.random.default_rng(23)
+    disses = [_closed_diss(star_graph(n), p) for n, p in ((5, 0.3), (12, 0.6), (20, 0.9))]
+    for _ in range(6):
+        g = _random_connected_graph(rng, int(rng.integers(4, 9)))
+        disses.append(reach_exact(g, float(rng.uniform(0.1, 0.9))))
+    for diss in disses:
+        for alpha, omega in ((1.0, 1.0), (1.5, 2.0), (4.0, 1.0), (0.05, 2.0)):
+            for _ in range(5):
+                q = rng.uniform(1e-5, 1 - 1e-5, diss.n)
+                cases.append((q, diss.expected_docs, diss.reach, alpha, omega))
+    h, checked = 1e-6, 0
+    for q, docs, reach, alpha, omega in cases:
+        n = q.size
+        shifted = np.clip(np.vstack([q, q + h * np.eye(n), q - h * np.eye(n)]), 0.0, 1.0)
+        walk = game._walk_constants((2 * n + 1) * n, n)
+        best, jac = game._best_responses(
+            shifted, np.tile(docs, (2 * n + 1, 1)), np.tile(reach, (2 * n + 1, 1, 1)),
+            alpha, omega, walk, True,
+        )
+        up, down = best[1 : n + 1].T - best[0, :, None], best[0, :, None] - best[n + 1 :].T
+        affine = np.abs(up - down) <= 1e-12
+        central = (up + down) / (shifted[1 : n + 1] - shifted[n + 1 :]).diagonal()
+        assert np.abs(jac[0] - central)[affine].max(initial=0.0) <= 1e-7
+        checked += (affine & (np.abs(central) > 1e-3)).sum()
+    assert checked >= 2000
 
 
 # ---------------------------------------------------------------------------
