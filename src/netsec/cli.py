@@ -21,15 +21,14 @@ from .attack import attacker_payoff, optimal_attack
 from .dissemination import (
     METHOD_CLOSED,
     METHOD_EXACT,
+    METHOD_MC,
     Params,
     disseminate,
     p_for_half_coverage,
     topology_docs,
 )
-from .game import NonConvergenceError
-from .graph import COMPLETE, CUSTOM, RING, STAR, Graph, build_topology, load_edge_list
-
-_VT_TOPOLOGIES = (RING, COMPLETE)
+from .game import VT_TOPOLOGIES, NonConvergenceError
+from .graph import CUSTOM, STAR, TOPOLOGIES, Graph, build_topology, load_edge_list
 
 # Named topologies hold n x n float matrices; 1000 agents keep each at 8 MB.
 MAX_AGENTS = 1000
@@ -89,7 +88,7 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _resolve_graph(args) -> Graph:
-    if getattr(args, "edges", None):
+    if args.edges:
         if args.topology or args.n is not None:
             raise ValueError("--edges gives the whole graph; drop --topology and --n")
         with open(args.edges, encoding="utf-8") as handle:
@@ -102,18 +101,13 @@ def _resolve_graph(args) -> Graph:
 
 
 def _resolve_dissemination(g: Graph, p: float, args):
-    method = getattr(args, "method", None)
-    if method is None:
-        method = METHOD_CLOSED if g.topology != CUSTOM else METHOD_EXACT
-    return disseminate(
-        g, p, method, samples=getattr(args, "samples", 100_000),
-        seed=getattr(args, "seed", 0),
-    )
+    method = args.method or (METHOD_CLOSED if g.topology != CUSTOM else METHOD_EXACT)
+    return disseminate(g, p, method, samples=args.samples, seed=args.seed)
 
 
 def _vt_closed_forms(g: Graph, args) -> bool:
     """Whether closed forms serve (ring, complete); refuse, not ignore, another --method."""
-    if g.topology not in _VT_TOPOLOGIES:
+    if g.topology not in VT_TOPOLOGIES:
         return False
     if args.method not in (None, METHOD_CLOSED):
         raise ValueError(
@@ -179,7 +173,7 @@ def _equilibrium_q(g: Graph, diss, params: Params, regime: str, numeric: bool):
     elif regime == game.OPT_RANDOM:
         q = game.social_optimum_random(docs, params.alpha)
     # Monte Carlo docs on a ring or complete graph are never exactly equal.
-    elif g.topology in _VT_TOPOLOGIES and not numeric and game._is_homogeneous(docs):
+    elif g.topology in VT_TOPOLOGIES and not numeric and game._is_homogeneous(docs):
         if regime == game.NASH_STRATEGIC:
             q = game.nash_strategic_vt(docs, n, params.alpha, params.omega)
         else:
@@ -275,7 +269,7 @@ def _cmd_sweep_investments(args) -> str:
 
 
 def _cmd_sweep_documents(args) -> str:
-    topologies = [t.strip() for t in args.topology.split(",")] if args.topology else [RING, COMPLETE]
+    topologies = [t.strip() for t in args.topology.split(",")] if args.topology else VT_TOPOLOGIES
     grid = _parse_grid(args.p_grid)
     n = args.n
     if n is None:
@@ -331,7 +325,7 @@ def _cmd_crossover(args) -> str:
 # ---------------------------------------------------------------------------
 
 def _add_graph_options(sub, need_p=True):
-    sub.add_argument("--topology", choices=[RING, STAR, COMPLETE], help="named topology family")
+    sub.add_argument("--topology", choices=TOPOLOGIES, help="named topology family")
     sub.add_argument("--n", type=_agent_count, help="number of agents")
     sub.add_argument("--edges", help="edge-list file, one 'u v' pair per line")
     if need_p:
@@ -340,7 +334,7 @@ def _add_graph_options(sub, need_p=True):
 
 def _add_method_options(sub):
     sub.add_argument(
-        "--method", choices=["exact", "closed", "mc"], default=None,
+        "--method", choices=[METHOD_EXACT, METHOD_CLOSED, METHOD_MC], default=None,
         help="dissemination route (default: closed for named topologies, exact otherwise)",
     )
     sub.add_argument("--samples", type=_sample_count, default=100_000, help="Monte Carlo samples")
@@ -369,10 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("equilibrium", help="equilibrium or socially optimal investments")
     _add_graph_options(sub)
     _add_method_options(sub)
-    sub.add_argument(
-        "--regime", required=True,
-        choices=[game.NASH_RANDOM, game.OPT_RANDOM, game.NASH_STRATEGIC, game.OPT_STRATEGIC],
-    )
+    sub.add_argument("--regime", required=True, choices=game.REGIMES)
     sub.add_argument("--alpha", type=float, default=1.0, help="defender cost coefficient")
     sub.add_argument("--omega", type=float, default=1.0, help="attacker cost coefficient")
     sub.add_argument(

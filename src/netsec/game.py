@@ -38,9 +38,8 @@ from .dissemination import (
     Params,
     _check_cost,
     _p_for_mean_docs,
-    complete_docs,
-    ring_docs,
     star_docs,
+    topology_docs,
 )
 from .graph import COMPLETE, RING
 
@@ -50,6 +49,9 @@ NASH_STRATEGIC = "nash-strategic"
 OPT_STRATEGIC = "opt-strategic"
 
 REGIMES = (NASH_RANDOM, OPT_RANDOM, NASH_STRATEGIC, OPT_STRATEGIC)
+
+# Vertex-transitive families: every agent expects the same documents.
+VT_TOPOLOGIES = (RING, COMPLETE)
 
 _HOMOGENEITY_TOL = 1e-9
 _ANDERSON_WINDOW = 4  # sweeps kept for extrapolation in the fallback sweeps
@@ -742,29 +744,13 @@ def social_optimum_numeric(
 # Over- vs under-investment crossover
 # ---------------------------------------------------------------------------
 
-def unique_crossover_condition(docs_value: float, n: int, alpha: float) -> bool:
-    """Sufficient condition for a single over-to-under-investment crossover.
-
-    Literal evaluation of 2 (n - d) d >= (n - 2 d)(alpha n - 1); always
-    true once d >= n/2 since the right side is then non-positive.
-    """
-    d = _homogeneous_docs(docs_value, n)[0]
-    return 2.0 * (n - d) * d >= (n - 2.0 * d) * (alpha * n - 1.0)
-
-
-def _vt_docs(topology: str, n: int, p: float) -> float:
-    if topology == RING:
-        return ring_docs(n, p)
-    if topology == COMPLETE:
-        return complete_docs(n, p)
-    raise ValueError(
-        f"closed-form crossover needs a ring or complete topology, got {topology!r}"
-    )
-
-
 def investment_gap(topology: str, n: int, p: float, alpha: float, omega: float) -> float:
     """Equilibrium minus optimal investment at p (positive = over-investment)."""
-    d = _vt_docs(topology, n, p)
+    if topology not in VT_TOPOLOGIES:
+        raise ValueError(
+            f"closed-form crossover needs a ring or complete topology, got {topology!r}"
+        )
+    d = float(topology_docs(topology, n, p)[0])
     return float(nash_strategic_vt(d, n, alpha, omega)[0]) - d / (alpha * n)
 
 
@@ -783,7 +769,8 @@ def find_crossover_p(
     positive leading term, h(1) > 0 and h(n) < 0, so one root lies in (1, n).
     Bisects the gap on (0, 1) to `tol` after checking it is positive near 0
     and negative near 1.  With details=True also returns the exact interval
-    where `unique_crossover_condition` holds: d lies between the roots of
+    where the sufficient condition for one crossover,
+    2 (n - d) d >= (n - 2 d)(alpha n - 1), holds: d lies between the roots of
     2 d^2 - 2 (n + alpha n - 1) d + n (alpha n - 1), the upper one is >= n,
     so the interval is (D^-1(d_lo), 1), with 0 as its lower end when d_lo <= 1.
     """

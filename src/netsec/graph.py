@@ -66,9 +66,6 @@ class Graph:
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.adjacency)) // 2
 
-    def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1)
-
 
 def ring_graph(n: int) -> Graph:
     """Cycle on n >= 3 agents, i adjacent to (i +- 1) mod n."""

@@ -1,10 +1,19 @@
+import argparse
+
 import numpy as np
 import pytest
 
 from netsec import cli, game
-from netsec.dissemination import Params, complete_docs, disseminate
+from netsec.dissemination import (
+    METHOD_CLOSED,
+    METHOD_EXACT,
+    METHOD_MC,
+    Params,
+    complete_docs,
+    disseminate,
+)
 from netsec.game import NonConvergenceError
-from netsec.graph import ring_graph, star_graph
+from netsec.graph import TOPOLOGIES, ring_graph, star_graph
 from reed_frost import complete_reach_oracle
 
 
@@ -265,6 +274,35 @@ def test_crossover_matches_library(capsys):
     assert p_star_cli == pytest.approx(
         game.find_crossover_p("ring", 5, 1.0, 1.0), abs=1e-9
     )
+
+
+def test_option_choices_are_the_library_names():
+    expected = {
+        "topology": TOPOLOGIES,
+        "regime": game.REGIMES,
+        "method": (METHOD_EXACT, METHOD_CLOSED, METHOD_MC),
+    }
+    (subs,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    seen = []
+    for command, sub in subs.choices.items():
+        for action in sub._actions:
+            if action.dest in expected and action.choices is not None:
+                assert tuple(action.choices) == expected[action.dest], (command, action.dest)
+                seen.append((command, action.dest))
+    # sweep-documents takes a comma-separated topology list, not one choice.
+    graph_commands = ("disseminate", "attack", "equilibrium", "sweep-investments", "crossover")
+    assert sorted(seen) == sorted(
+        [(c, "topology") for c in graph_commands]
+        + [(c, "method") for c in graph_commands]
+        + [("equilibrium", "regime")]
+    )
+
+
+def test_monte_carlo_defaults_are_100000_samples_and_seed_0(capsys):
+    argv = ("disseminate", "--topology", "ring", "--n", "6", "--p", "0.5", "--method", "mc")
+    default = run_cli(capsys, *argv)
+    assert default[0] == 0
+    assert run_cli(capsys, *argv, "--samples", "100000", "--seed", "0") == default
 
 
 def test_edges_file_input(capsys, tmp_path):

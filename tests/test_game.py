@@ -29,7 +29,6 @@ from netsec.game import (
     social_optimum_strategic_vt,
     star_sacrificial_lamb,
     star_uniform_attack_strategy,
-    unique_crossover_condition,
 )
 from netsec.graph import complete_graph, load_edge_list, ring_graph, star_graph
 from oracles import complete_pair_bounds
@@ -93,7 +92,6 @@ BY_DOCS = {
     "nash_strategic_vt": lambda d: nash_strategic_vt(d, 5),
     "nash_strategic_vt_vector": lambda d: nash_strategic_vt(np.full(5, d)),
     "social_optimum_strategic_vt": lambda d: social_optimum_strategic_vt(d, 5),
-    "unique_crossover_condition": lambda d: unique_crossover_condition(d, 5, 1.0),
 }
 
 
@@ -1176,6 +1174,27 @@ def test_crossover_is_the_only_sign_change():
         assert grid[k] <= find_crossover_p(topology, n, alpha, omega) <= grid[k + 1]
 
     check()
+
+
+@pytest.mark.parametrize("call", [
+    lambda topology, n: investment_gap(topology, n, 0.5, 1.0, 1.0),
+    lambda topology, n: find_crossover_p(topology, n, 1.0, 1.0),
+], ids=["investment_gap", "find_crossover_p"])
+@pytest.mark.parametrize("topology, n", [
+    ("ring", 0), ("ring", 1), ("ring", 2), ("complete", 0), ("complete", 1),
+])
+def test_crossover_helpers_refuse_graphs_too_small(call, topology, n):
+    # A 2-agent "ring" would cross at 0.170, but the only 2-agent graph,
+    # K_2, crosses at 0.311: the helpers take the graph builders' bounds.
+    message = {"ring": "ring needs n >= 3", "complete": "n must be >= 2"}[topology]
+    with pytest.raises(ValueError, match=message):
+        call(topology, n)
+
+
+def unique_crossover_condition(d, n, alpha):
+    """Oracle for the sufficient condition of a single crossover, evaluated
+    literally: 2 (n - d) d >= (n - 2 d)(alpha n - 1)."""
+    return 2.0 * (n - d) * d >= (n - 2.0 * d) * (alpha * n - 1.0)
 
 
 @pytest.mark.parametrize("topology, docs", [("ring", ring_docs), ("complete", complete_docs)])
