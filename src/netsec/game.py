@@ -641,59 +641,31 @@ def _newton_direction(grad, free, active, docs, alpha, omega):
     return m_grad + m_u * shift[:, None]
 
 
-_STARTS = 8  # uniform 0.1, 0.5 and 0.9, then five random starts from seed 0
 _SLOTS = np.arange(8)  # line-search steps a row may try in one round
 _HALVINGS = 0.5**_SLOTS
 
 
-def social_optimum_numeric(
-    diss: Dissemination | Sequence[Dissemination],
-    params: Params,
-    tol: float = 1e-8,
-    max_iter: int = 20_000,
-) -> GameOutcome | list[GameOutcome]:
-    """Welfare maximization over investments by projected Newton ascent.
-
-    Runs from uniform starts {0.1, 0.5, 0.9} plus five random starts drawn
-    from seed 0.  Each iteration takes the Newton direction of the current
-    active-set region's quadratic on the coordinates not held at a bound
-    of [0, 1]^n, and halves the step from 1 until the box-projected trial
-    passes the Armijo test W(trial) >= W(q) + 1e-4 g'(trial - q) (Bertsekas,
-    SIAM J. Control Optim. 1982); a start that cannot pass it at any step
-    has failed.  Convergence is a projected gradient norm <= tol at a fixed
-    reference step, and the best-welfare converged run wins (the earliest
-    start on ties).  On graphs without a homogeneity guarantee the winner
-    is the best stationary point found, not a certified global optimum.
-
-    The starts run as the rows of one stack.  Each round evaluates every
-    running row's trials in one kernel call: a row tries at once as many
-    halvings as its last line search needed and takes the first that
-    passes, so each row takes the path, and gets the bytes, it would alone.
-    Like `best_response_dynamics`, `diss` may be a sequence of points solved
-    with the same `params`, and all their starts join the stack; outcomes
-    and failures follow the stacked-solve contract stated there.
-    """
-    single, disses, docs = _stack_points(diss, tol, max_iter)
-    alpha, omega, n = params.alpha, params.omega, docs.shape[1]
-    docs = np.repeat(docs, _STARTS, axis=0)
+def _ascend(q, docs, alpha, omega, tol, max_iter):
+    """Projected Newton ascent of welfare from q for each row of a stack,
+    as `social_optimum_numeric` describes it: each row's last iterate,
+    (B, n), and its NonConvergenceError or None.  Each round evaluates all
+    running rows' trials in one kernel call, so every row takes the path,
+    and gets the bytes, it would alone."""
+    rows, n = q.shape
     ref_step = 1.0 / (alpha + 2.0 * docs.max(axis=1) ** 2 / omega)
-    rng = np.random.default_rng(0)
-    starts = np.vstack([np.full((3, n), [[0.1], [0.5], [0.9]]), rng.random((_STARTS - 3, n))])
-    rows, q = len(disses) * _STARTS, np.tile(starts, (len(disses), 1))
     value, grad, active = _welfare_and_gradient(q, docs, alpha, omega)
-    best_q, best_value = np.empty((rows, n)), np.full(rows, -np.inf)  # -inf: no convergence
+    last, last_residual, taken = np.empty((rows, n)), np.empty(rows), np.zeros(rows, dtype=int)
     # The stack keeps the rows still running; `ids` maps them back.
     ids, iters, fresh = np.arange(rows), np.zeros(rows, dtype=int), np.ones(rows, dtype=bool)
     direction, step, width = np.zeros((rows, n)), np.ones(rows), np.ones(rows)
-    wedged = np.zeros(rows, dtype=bool)
     while True:
-        # Rows at a new iterate test it; stationary ones have converged.
-        gap = np.abs(np.clip(q + ref_step[:, None] * grad, 0.0, 1.0) - q).max(axis=1)
-        stationary = gap <= tol * ref_step
-        done = wedged | (fresh & (stationary | (iters >= max_iter)))
+        # Rows at a new iterate test their residual; a row whose step has
+        # shrunk to nothing found no step that passes the Armijo test.
+        residual = np.abs(np.clip(q + ref_step[:, None] * grad, 0.0, 1.0) - q).max(axis=1) / ref_step
+        done = (step <= 1e-16) | (fresh & ((residual <= tol) | (iters >= max_iter)))
         if done.any():
-            won = fresh & stationary & (iters < max_iter)
-            best_q[ids[won]], best_value[ids[won]] = q[won], value[won]
+            out = ids[done]
+            last[out], last_residual[out], taken[out] = q[done], residual[done], iters[done]
             state = ids, q, value, grad, active, direction, step, width, iters, fresh, docs, ref_step
             ids, q, value, grad, active, direction, step, width, iters, fresh, docs, ref_step = (
                 x[~done] for x in state
@@ -726,18 +698,45 @@ def social_optimum_numeric(
         iters += fresh
         width = np.where(fresh, np.minimum(slot + 1 - np.log2(step), _SLOTS.size), width)
         step = np.where(fresh, step, step * 0.5**tried)
-        wedged = step <= 1e-16  # no step passes the Armijo test: the start failed
-    welfare = best_value.reshape(-1, _STARTS)
-    errors = [
-        NonConvergenceError(
-            f"no projected-gradient start converged within {max_iter} iterations "
-            f"({_STARTS} starts attempted)",
-            iterations=max_iter,
-        ) if np.isneginf(top) else None
-        for top in welfare.max(axis=1)
+    return last, [
+        None if r <= tol else NonConvergenceError(
+            f"projected Newton ascent did not converge within {max_iter} iterations "
+            f"(stationarity residual {r:.3e})", last_q=x.copy(), residual=r, iterations=i,
+        )
+        for x, r, i in zip(last, last_residual.tolist(), taken.tolist())
     ]
-    best = best_q[np.arange(0, rows, _STARTS) + welfare.argmax(axis=1)]
-    return _stack_outcomes(single, disses, params, best, errors, OPT_STRATEGIC)
+
+
+def social_optimum_numeric(
+    diss: Dissemination | Sequence[Dissemination],
+    params: Params,
+    tol: float = 1e-8,
+    max_iter: int = 20_000,
+) -> GameOutcome | list[GameOutcome]:
+    """Welfare maximization over investments by projected Newton ascent.
+
+    Runs from the uniform start q = 0.5.  Each iteration takes the Newton
+    direction of the current active-set region's quadratic on the
+    coordinates not held at a bound of [0, 1]^n, and halves the step from 1
+    until the box-projected trial passes the Armijo test W(trial) >= W(q) +
+    1e-4 g'(trial - q) (Bertsekas, SIAM J. Control Optim. 1982).  It
+    converges once the stationarity residual |clip(q + s g) - q|_max / s, s
+    a fixed reference step, is <= tol.  NonConvergenceError, carrying the
+    last iterate, its residual and its iterations, is raised past max_iter
+    iterations or when no step passes the test.
+
+    Within one attacker active set the welfare is a concave quadratic, but
+    it kinks upward where the set changes, so local optima can exist.  One
+    start is kept because the tests' oracle of 64 seeded starts never finds
+    more welfare, nor do the star strategies.  Still, on graphs without a
+    homogeneity guarantee the result is a stationary point, not a certified
+    global optimum.  Like `best_response_dynamics`, `diss` may be a
+    sequence of points, solved with the same `params` as the rows of one
+    stack; outcomes and failures follow the stacked-solve contract there.
+    """
+    single, disses, docs = _stack_points(diss, tol, max_iter)
+    q, errors = _ascend(np.full(docs.shape, 0.5), docs, params.alpha, params.omega, tol, max_iter)
+    return _stack_outcomes(single, disses, params, q, errors, OPT_STRATEGIC)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
 import argparse
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -545,8 +548,8 @@ def test_sweep_names_the_failing_point(capsys, tmp_path):
 
 def test_sweep_reports_an_optimum_failure_below_the_equilibrium_failure(capsys, monkeypatch, tmp_path):
     # With alpha = 1.5 and omega = 2 no equilibrium is certified at p = 0.3
-    # on this graph, and at max_iter=2 no optimum start converges at
-    # p = 0.2 or 0.3.  A point-by-point sweep meets the optimum at 0.2
+    # on this graph, and at max_iter=1 the optimum does not converge at
+    # p = 0.2 to 0.8.  A point-by-point sweep meets the optimum at 0.2
     # first, and so must the stacked one.
     path = tmp_path / "graph.txt"
     path.write_text("0 1\n0 4\n0 5\n1 2\n1 3\n1 4\n2 3\n3 4\n3 6\n4 6\n", encoding="utf-8")
@@ -555,16 +558,25 @@ def test_sweep_reports_an_optimum_failure_below_the_equilibrium_failure(capsys, 
     assert code == 3 and out == ""
     assert err.startswith("netsec: solver did not converge: at p = 0.3: best-response dynamics stopped: ")
     real = game.social_optimum_numeric
-    monkeypatch.setattr(
-        game, "social_optimum_numeric", lambda *args, **options: real(*args, max_iter=2, **options)
-    )
+    raised = []
+
+    def one_iteration(*args, **options):
+        try:
+            return real(*args, max_iter=1, **options)
+        except NonConvergenceError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(game, "social_optimum_numeric", one_iteration)
     stacked = run_cli(capsys, *argv)
     assert stacked == (
         3,
         "",
-        "netsec: solver did not converge: at p = 0.2: no projected-gradient start "
-        "converged within 2 iterations (8 starts attempted)\n",
+        "netsec: solver did not converge: at p = 0.2: projected Newton ascent "
+        "did not converge within 1 iterations (stationarity residual 1.495e-03)\n",
     )
+    assert raised[0].index == 2 and raised[0].iterations == 1 and raised[0].last_q.shape == (7,)
+    assert f"{raised[0].residual:.3e}" == "1.495e-03"
     monkeypatch.setattr(cli, "_SWEEP_BLOCK_BYTES", 8 * 7 * 7)  # one point a block
     assert run_cli(capsys, *argv) == stacked
 
@@ -606,6 +618,32 @@ def test_sweep_reports_an_optimum_failure_below_the_equilibrium_failure_first(
     assert run_cli(capsys, *_six_node_sweep(tmp_path)) == (
         3, "", "netsec: solver did not converge: at p = 0.6: forced optimum failure\n"
     )
+
+
+def _python_prints(code):
+    """What a fresh interpreter with this test run's import path prints."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+def test_solving_optima_leaves_numpy_random_unloaded():
+    # numpy imports numpy.random lazily, at 12 to 18 ms in a fresh process,
+    # and the optimum draws no random numbers, so it must not pay for it.
+    if _python_prints("import sys, numpy; print('numpy.random' in sys.modules)") == "True\n":
+        pytest.skip("this numpy loads numpy.random on import")
+    code = (
+        "import contextlib, io, sys\n"
+        "from netsec import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [\n"
+        "        cli.main(['equilibrium', '--regime', 'opt-strategic', '--topology', 'star',\n"
+        "                  '--n', '5', '--p', '0.5']),\n"
+        "        cli.main(['sweep-investments', '--topology', 'star', '--n', '5', '--p-grid', '0:1:5']),\n"
+        "    ]\n"
+        "print(codes, 'numpy.random' in sys.modules)\n"
+    )
+    assert _python_prints(code) == "[0, 0] False\n"
 
 
 def test_number_formatting_12_digits(capsys):

@@ -850,8 +850,8 @@ def test_social_optimum_numeric_regime_tag():
 def test_social_optimum_solves_each_point_once(monkeypatch, g, p, diss_of):
     # The line search's accepted trial carries its welfare, gradient and
     # attack into the next iteration, so no row of an evaluation repeats a
-    # row of the one before, except a stationary point that one start
-    # ends on and another start reaches bit for bit next.
+    # row of the one before.  The start takes one evaluation; each point
+    # here takes at least one step after it.
     real = game._welfare_and_gradient
     solved = []
 
@@ -860,16 +860,10 @@ def test_social_optimum_solves_each_point_once(monkeypatch, g, p, diss_of):
         return real(q, docs, alpha, omega)
 
     monkeypatch.setattr(game, "_welfare_and_gradient", recording)
-    diss = diss_of(g, p)
-    social_optimum_numeric(diss, Params())
-    assert sum(map(len, solved)) > 8
-    docs = diss.expected_docs
-    ref_step = 1.0 / (1.0 + 2.0 * docs.max() ** 2)
+    social_optimum_numeric(diss_of(g, p), Params())
+    assert len(solved) > 1
     for a, b in zip(solved, solved[1:]):
-        for row in a & b:
-            q = np.frombuffer(row)
-            grad = real(q[None], docs[None], 1.0, 1.0)[1][0]
-            assert np.abs(np.clip(q + ref_step * grad, 0.0, 1.0) - q).max() <= 1e-8 * ref_step
+        assert not a & b
 
 
 def _record_fills(monkeypatch):
@@ -947,10 +941,11 @@ def test_social_optimum_ring4_p_zero_no_cycling(monkeypatch):
     # a mirror image of equal welfare; an ascent that accepts equal-welfare
     # steps cycles between the two.  The optimum is uniform 1/(alpha n).
     calls = _record_fills(monkeypatch)
-    g = ring_graph(4)
-    out = social_optimum_numeric(_closed_diss(g, 0.0), Params())
-    assert np.abs(out.q - 0.25).max() <= 1e-12
-    assert sum(map(len, calls)) <= 8 * 16
+    docs = _closed_diss(ring_graph(4), 0.0).expected_docs[None]
+    q, errors = game._ascend(np.array([[0.0, 0.5, 0.5, 0.0]]), docs, 1.0, 1.0, 1e-8, 20_000)
+    assert errors == [None]
+    assert np.abs(q - 0.25).max() <= 1e-12
+    assert sum(map(len, calls)) <= 16
 
 
 def test_social_optimum_star5_sweep_kernel_budget(monkeypatch):
@@ -970,51 +965,70 @@ def test_social_optimum_star5_sweep_kernel_budget(monkeypatch):
     assert len(calls) <= 60
 
 
-def _sequential_optimum(diss, alpha, omega, tol=1e-8, max_iter=20_000):
-    """Oracle: the projected Newton ascent one start and one trial step at
-    a time, through one-row calls of the solver's kernels; the best q."""
+def _sequential_optimum(diss, alpha, omega, q0, tol=1e-8, max_iter=20_000):
+    """Oracle: the projected Newton ascent from q0 one trial step at a
+    time, through one-row calls of the solver's kernels; the last iterate
+    and whether it converged."""
     docs = diss.expected_docs[None]
-    n = docs.shape[1]
     ref_step = 1.0 / (alpha + 2.0 * float(docs.max()) ** 2 / omega)
-    rng = np.random.default_rng(0)
-    starts = [np.full(n, c) for c in (0.1, 0.5, 0.9)] + [rng.random(n) for _ in range(5)]
-    best_q, best_welfare = None, -np.inf
-    for q0 in starts:
-        q = q0[None]
-        value, grad, active = game._welfare_and_gradient(q, docs, alpha, omega)
-        for _ in range(max_iter):
-            if np.abs(np.clip(q + ref_step * grad, 0.0, 1.0) - q).max() <= tol * ref_step:
-                if value[0] > best_welfare:
-                    best_q, best_welfare = q[0], value[0]
+    q = q0[None]
+    value, grad, active = game._welfare_and_gradient(q, docs, alpha, omega)
+    for iteration in range(max_iter + 1):
+        if np.abs(np.clip(q + ref_step * grad, 0.0, 1.0) - q).max() / ref_step <= tol:
+            return q[0], True
+        if iteration == max_iter:
+            break
+        blocked = ((q <= 0.0) & (grad < 0.0)) | ((q >= 1.0) & (grad > 0.0))
+        direction = game._newton_direction(grad, ~blocked, active, docs, alpha, omega)
+        step = 1.0
+        while step > 1e-16:
+            trial = np.clip(q + step * direction, 0.0, 1.0)
+            evaluated = game._welfare_and_gradient(trial, docs, alpha, omega)
+            if evaluated[0][0] >= value[0] + 1e-4 * float(grad[0] @ (trial - q)[0]):
                 break
-            blocked = ((q <= 0.0) & (grad < 0.0)) | ((q >= 1.0) & (grad > 0.0))
-            direction = game._newton_direction(grad, ~blocked, active, docs, alpha, omega)
-            step = 1.0
-            while step > 1e-16:
-                trial = np.clip(q + step * direction, 0.0, 1.0)
-                evaluated = game._welfare_and_gradient(trial, docs, alpha, omega)
-                if evaluated[0][0] >= value[0] + 1e-4 * float(grad[0] @ (trial - q)[0]):
-                    break
-                step *= 0.5
-            else:
-                break
-            q, (value, grad, active) = trial, evaluated
-    return best_q
+            step *= 0.5
+        else:
+            break
+        q, (value, grad, active) = trial, evaluated
+    return q[0], False
 
 
 @pytest.mark.parametrize("g, p, diss_of, alpha, omega", [
-    (star_graph(20), 0.9, reach_closed_form, 1.0, 1.0),  # line searches of up to 8 steps
+    (star_graph(20), 0.9, reach_closed_form, 1.0, 1.0),
     (star_graph(5), 0.45, reach_closed_form, 1.0, 1.0),
     (star_graph(6), 0.7, reach_closed_form, 1.5, 2.0),
     (load_edge_list(SIX_NODE), 0.6, reach_exact, 1.0, 1.0),
     (load_edge_list(FIVE_NODE), 0.3, reach_exact, 2.0, 3.0),
+    (star_graph(60), 0.5, reach_closed_form, 1.0, 1.0),  # line searches of up to 8 steps
+    (star_graph(20), 0.8, reach_closed_form, 1.0, 1.0),
 ])
 def test_stacked_line_search_matches_one_step_at_a_time(g, p, diss_of, alpha, omega):
     # Rows try several halvings of their step in one round and take the
     # first that passes, which is the step a one-at-a-time search accepts.
+    # Each start row gets the iterate and verdict it gets alone.
     diss = diss_of(g, p)
-    out = social_optimum_numeric(diss, Params(alpha, omega))
-    assert out.q.tobytes() == _sequential_optimum(diss, alpha, omega).tobytes()
+    starts = np.vstack([np.full(g.n, 0.5), np.random.default_rng(3).random((5, g.n))])
+    docs = np.tile(diss.expected_docs, (len(starts), 1))
+    last, errors = game._ascend(starts, docs, alpha, omega, 1e-8, 20_000)
+    for q0, q, error in zip(starts, last, errors):
+        expected, converged = _sequential_optimum(diss, alpha, omega, q0)
+        assert q.tobytes() == expected.tobytes()
+        assert (error is None) == converged
+
+
+def test_ascent_tries_several_halvings_in_one_round(monkeypatch):
+    # A row whose last line search took t trials tries t halvings at once.
+    # From the uniform start the 60-star at p = 0.5 (a case above) does so.
+    real = game._welfare_and_gradient
+    sizes = []
+
+    def recording(q, docs, alpha, omega):
+        sizes.append(len(q))
+        return real(q, docs, alpha, omega)
+
+    monkeypatch.setattr(game, "_welfare_and_gradient", recording)
+    social_optimum_numeric(_closed_diss(star_graph(60), 0.5), Params())
+    assert max(sizes) > 1
 
 
 def _solve_optima(disses, alpha=1.0, omega=1.0, **options):
@@ -1055,20 +1069,31 @@ def test_stacked_optimum_matches_per_point_calls_on_random_graphs():
         _assert_optima_stack_matches([reach_exact(g, p) for p in ps], **costs)
 
 
-# At max_iter=2 with alpha = 1.5 and omega = 2 no start converges at
-# p = 0.2 or 0.3 on this graph; at 0.1, 0.5 and 0.9 some start does.
+# At max_iter=1 with alpha = 1.5 and omega = 2 the ascent does not
+# converge at p = 0.2 to 0.8 on this graph; at 0.1, 0.9 and 0.95 it does.
 SEVEN_NODE = "0 1\n0 4\n0 5\n1 2\n1 3\n1 4\n2 3\n3 4\n3 6\n4 6\n"
 
 
 def test_stacked_optimum_reports_the_lowest_failing_point():
     g = load_edge_list(SEVEN_NODE)
-    ps = [0.1, 0.3, 0.5, 0.2, 0.9]
+    ps = [0.1, 0.3, 0.95, 0.2, 0.9]
     disses = [reach_exact(g, p) for p in ps]
-    options = {"alpha": 1.5, "omega": 2.0, "max_iter": 2}
+    options = {"alpha": 1.5, "omega": 2.0, "max_iter": 1}
     each = [_solve_optima(diss, **options) for diss in disses]
     assert [isinstance(result, tuple) for result in each] == [False, True, False, True, False]
-    assert each[1] == (None, "no projected-gradient start converged within 2 iterations "
-                       "(8 starts attempted)", 2)
+    assert each[1] == (None, "projected Newton ascent did not converge within 1 iterations "
+                       "(stationarity residual 3.188e-03)", 1)
+    # The error carries the point's last iterate and the stationarity
+    # residual there, which its message names.
+    with pytest.raises(NonConvergenceError) as err:
+        social_optimum_numeric(disses[1], Params(1.5, 2.0), max_iter=1)
+    q, docs = err.value.last_q, disses[1].expected_docs
+    assert q.tobytes() == _sequential_optimum(disses[1], 1.5, 2.0, np.full(7, 0.5), max_iter=1)[0].tobytes()
+    ref_step = 1.0 / (1.5 + 2.0 * docs.max() ** 2 / 2.0)
+    grad = game._welfare_and_gradient(q[None], docs[None], 1.5, 2.0)[1][0]
+    stationarity = np.abs(np.clip(q + ref_step * grad, 0.0, 1.0) - q).max() / ref_step
+    assert err.value.residual == pytest.approx(stationarity, rel=1e-12)
+    assert f"{err.value.residual:.3e}" == "3.188e-03"
     assert _solve_optima(disses, **options) == (1,) + each[1][1:]
     assert _solve_optima(disses[2:], **options) == (1,) + each[3][1:]
     assert isinstance(_solve_optima(disses[::2], **options), list)
@@ -1123,6 +1148,48 @@ def test_social_optimum_matches_grid_oracle(g, diss_of, alpha, omega):
         assert out.welfare >= w_grid - 1e-12
         assert out.welfare <= w_grid + 1e-5
         assert np.abs(out.q - q_grid).max() <= 2e-3
+
+
+def test_one_start_matches_many_seeded_starts():
+    # Welfare kinks upward where the attacker's active set changes, so the
+    # ascent could stop at a local optimum.  The solver keeps one start
+    # because 64 seeded starts per point never find more welfare.
+    rng = np.random.default_rng(21)
+    for _ in range(30):
+        g = _random_connected_graph(rng, int(rng.integers(4, 9)))
+        disses = [reach_exact(g, p) for p in np.sort(rng.uniform(0.05, 0.95, 3))]
+        docs = np.repeat([diss.expected_docs for diss in disses], 64, axis=0)
+        starts = rng.random(docs.shape)
+        for alpha, omega in ((1.0, 1.0), (1.0, 3.0), (3.0, 2.0)):
+            outs = social_optimum_numeric(disses, Params(alpha, omega))
+            last, errors = game._ascend(starts, docs, alpha, omega, 1e-8, 20_000)
+            welfare = game._welfare_and_gradient(last, docs, alpha, omega)[0]
+            welfare[[error is not None for error in errors]] = -np.inf
+            best = welfare.reshape(len(disses), 64).max(axis=1)
+            assert np.isfinite(best).all()
+            assert all(out.welfare >= top - 1e-9 for out, top in zip(outs, best))
+
+
+def test_one_start_beats_the_star_strategies():
+    # Equalizing the attack and the sacrificial lamb are feasible star
+    # strategies, so their welfare bounds the optimum from below.
+    grid = np.linspace(0.1, 1.0, 10)
+    checked = {"uniform": 0, "lamb": 0}
+    for n in (5, 10, 20, 50):
+        disses = [_closed_diss(star_graph(n), p) for p in grid]
+        for alpha in (1.0, 2.0, 5.0):
+            for omega in (1.0, 2.0, 5.0):
+                outs = social_optimum_numeric(disses, Params(alpha, omega))
+                for p, out in zip(grid, outs):
+                    uniform = star_uniform_attack_strategy(n, p, alpha)
+                    if not uniform.clamped:
+                        assert out.welfare >= uniform.welfare - 1e-12
+                        checked["uniform"] += 1
+                    lamb = star_sacrificial_lamb(n, p, alpha, omega)
+                    if lamb.feasible:
+                        assert out.welfare >= lamb.welfare_bound - 1e-12
+                        checked["lamb"] += 1
+    assert checked["uniform"] >= 300 and checked["lamb"] >= 200
 
 
 # ---------------------------------------------------------------------------
