@@ -46,10 +46,10 @@ class AttackSolution:
         return len(self.active)
 
 
-def _as_security(q, n: int | None = None) -> np.ndarray:
+def _as_security(q, shape: tuple | None = None) -> np.ndarray:
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    if n is not None and q.shape != (n,):
-        raise ValueError(f"expected {n} investments, got shape {q.shape}")
+    if shape is not None and q.shape != shape:
+        raise ValueError(f"expected investments of shape {shape}, got shape {q.shape}")
     if not ((q >= -1e-12) & (q <= 1.0 + 1e-12)).all():  # NaN fails both
         raise ValueError("investments must be finite numbers in [0, 1]")
     return np.clip(q, 0.0, 1.0)
@@ -93,19 +93,22 @@ def _water_fill(v, omega: float):
     return a, lam, a > 0.0
 
 
-def optimal_attack(q, docs, omega: float) -> AttackSolution:
+def optimal_attack(q, docs, omega: float) -> AttackSolution | list[AttackSolution]:
     """Solve the attacker's simplex-constrained quadratic program exactly.
 
     Checks the inputs, then runs the water-filling scan on
-    v_i = (1 - q_i) * docs_i.
+    v_i = (1 - q_i) * docs_i.  q and docs may instead be (B, n) stacks of
+    one shape: one scan then returns the B solutions in row order, each
+    with the bytes and arrays that its row would get alone.
     """
     q = _as_security(q)
     docs = _as_docs(docs)
-    if docs.shape != q.shape:
-        raise ValueError("q and docs must have the same length")
+    if docs.shape != q.shape or q.ndim > 2:
+        raise ValueError(f"q and docs must share an (n,) or (B, n) shape, got {q.shape} and {docs.shape}")
     _check_cost("omega", omega)
-    a, lam, active = _water_fill(((1.0 - q) * docs)[None], omega)
-    return AttackSolution(a[0], float(lam[0]), active[0].nonzero()[0])
+    a, lam, active = _water_fill(((1.0 - q) * docs).reshape(-1, q.shape[-1]), omega)
+    sols = [AttackSolution(row, level, on.nonzero()[0]) for row, level, on in zip(a, lam.tolist(), active)]
+    return sols if q.ndim == 2 else sols[0]
 
 
 def breach_probabilities(a, q, reach) -> np.ndarray:

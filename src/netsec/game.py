@@ -12,9 +12,9 @@ upward kinks between pieces: best responses walk those pieces exactly,
 and a pure strategic equilibrium need not exist.  Both iterative solvers
 take a Dissemination, or a stack of them such as a p grid solved
 together, and the cost coefficients in Params.  They check their inputs
-once on entry; welfare and rewards come from the unchecked row-wise
-water-fill kernel `_water_fill`, which takes a whole stack of rows in
-one call.
+once on entry and iterate on the unchecked row-wise water fill
+`_water_fill`; the outcomes they return come from one stacked
+`evaluate_outcome`, so from one checked `optimal_attack` per solve.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from .attack import (
     _as_docs,
     _as_security,
     _water_fill,
-    breach_probabilities,
-    expected_stolen,
     optimal_attack,
 )
 from .dissemination import (
@@ -91,27 +89,34 @@ class GameOutcome:
 
 
 def evaluate_outcome(
-    diss: Dissemination, params: Params, q, regime: str
-) -> GameOutcome:
+    diss: Dissemination | Sequence[Dissemination], params: Params, q, regime: str
+) -> GameOutcome | list[GameOutcome]:
     """Assemble a GameOutcome for given investments under a regime.
 
     Strategic regimes face the attacker's best response; random regimes
     face the uniform attack.  Every regime requires n investments in [0, 1].
+    `diss` may instead be a sequence of points with the same number of
+    agents and q their (B, n) stack: the inputs are checked once, one
+    `optimal_attack` call solves the stack, and a list of outcomes comes
+    back in input order, each with the bytes and arrays it would get alone.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
-    n = diss.n
-    q = _as_security(q, n)
-    docs = diss.expected_docs
-    sol = None
+    single, disses, docs = _stack_points(diss)
+    rows, n = docs.shape
+    q = _as_security(q, (n,) if single else docs.shape).reshape(rows, n)
+    sols = [None] * rows
     if regime in (NASH_STRATEGIC, OPT_STRATEGIC):
-        sol = optimal_attack(q, docs, params.omega)
-        a = sol.a
+        sols = optimal_attack(q, docs, params.omega)
+        a = np.array([sol.a for sol in sols])
     else:
-        a = np.full(n, 1.0 / n)
-    rewards = 1.0 - breach_probabilities(a, q, diss.reach) - 0.5 * params.alpha * q**2
-    welfare = n - expected_stolen(a, q, docs) - 0.5 * params.alpha * float(q @ q)
-    return GameOutcome(q, a, rewards, welfare, regime, attack=sol)
+        a = np.full((rows, n), 1.0 / n)
+    # Each point's rewards read its own reach matrix; no reach stack is built.
+    breach = np.array([(d.reach @ s[:, None])[:, 0] for d, s in zip(disses, a * (1.0 - q))])
+    rewards = 1.0 - breach - 0.5 * params.alpha * q**2
+    welfare = n - _row_dot(a, (1.0 - q) * docs) - 0.5 * params.alpha * _row_dot(q, q)
+    outcomes = list(map(GameOutcome, q, a, rewards, welfare.tolist(), [regime] * rows, sols))
+    return outcomes[0] if single else outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +369,16 @@ def _nash_gap(q, docs, reach, alpha, omega, best=None):
     return gains[np.arange(rows), agent], agent
 
 
-def _stack_points(diss, tol, max_iter):
-    """Check a solve's budget and points, given one Dissemination or a
-    sequence: (single, disses, docs) with docs the (B, n) expected documents."""
+def _check_budget(tol, max_iter):
     if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+
+
+def _stack_points(diss):
+    """Check points given as one Dissemination or a sequence: (single,
+    disses, docs) with docs the (B, n) expected documents."""
     single = isinstance(diss, Dissemination)
     disses = [diss] if single else list(diss)
     if not disses:
@@ -381,14 +389,15 @@ def _stack_points(diss, tol, max_iter):
 
 
 def _stack_outcomes(single, disses, params, qs, errors, regime):
-    """The points' GameOutcomes from their q, unless some point's error is
-    not None: then raise the lowest one's, with its position as `index`."""
+    """The points' GameOutcomes from their (B, n) q by one stacked
+    `evaluate_outcome` call, so from one checked attack solve over the
+    stack, unless some point's error is not None: then raise the lowest
+    one's, with its position as `index`."""
     for b, error in enumerate(errors):
         if error is not None:
             error.index = None if single else b
             raise error
-    outcomes = [evaluate_outcome(d, params, q, regime) for d, q in zip(disses, qs)]
-    return outcomes[0] if single else outcomes
+    return evaluate_outcome(disses[0] if single else disses, params, qs[0] if single else qs, regime)
 
 
 def _solve_rows(a, b):
@@ -583,11 +592,12 @@ def best_response_dynamics(
     0.5 MB an array (`_PAIR_BLOCK`), so callers bound the number of
     points: the CLI sweeps pass blocks of 16 MB.
     """
-    single, disses, docs = _stack_points(diss, tol, max_iter)
+    _check_budget(tol, max_iter)
+    single, disses, docs = _stack_points(diss)
     alpha, omega = params.alpha, params.omega
     rows, n = docs.shape
     reach = np.array([d.reach for d in disses])
-    x = np.tile(np.full(n, 0.5) if q0 is None else _as_security(q0, n), (rows, 1))
+    x = np.tile(np.full(n, 0.5) if q0 is None else _as_security(q0, (n,)), (rows, 1))
     walk = _walk_constants(rows * n, n)
     q, certified = _newton(x, docs, reach, alpha, omega, tol, walk)
     errors = [None] * rows
@@ -734,7 +744,8 @@ def social_optimum_numeric(
     sequence of points, solved with the same `params` as the rows of one
     stack; outcomes and failures follow the stacked-solve contract there.
     """
-    single, disses, docs = _stack_points(diss, tol, max_iter)
+    _check_budget(tol, max_iter)
+    single, disses, docs = _stack_points(diss)
     q, errors = _ascend(np.full(docs.shape, 0.5), docs, params.alpha, params.omega, tol, max_iter)
     return _stack_outcomes(single, disses, params, q, errors, OPT_STRATEGIC)
 

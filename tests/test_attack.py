@@ -151,6 +151,47 @@ def test_rejects_bad_inputs():
         optimal_attack([0.5, 0.5], [0.5, 2.0], 1.0)
 
 
+def _solution_bytes(sol):
+    return sol.a.tobytes(), repr(sol.lam), sol.active.tobytes()
+
+
+def test_stack_matches_one_dimensional_calls():
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3, 7, 12):
+        q = rng.random((9, n))
+        docs = 1.0 + rng.random((9, n)) * n
+        q[0], docs[0] = 0.37, 2.5  # all values equal: the exact uniform attack
+        q[1, 0] = 1.0  # one value zero
+        docs[2] = docs[2, 0]  # equal documents, unequal investments
+        omega = 1.0 + rng.random() * 4.0
+        stacked = optimal_attack(q, docs, omega)
+        assert [_solution_bytes(sol) for sol in stacked] == [
+            _solution_bytes(optimal_attack(q_b, d_b, omega)) for q_b, d_b in zip(q, docs)
+        ]
+        arrays = [(sol.a, sol.active) for sol in stacked]
+        assert not any(arr.flags.writeable for pair in arrays for arr in pair)
+        for j, pair in enumerate(arrays):
+            assert not any(np.shares_memory(x, y) for other in arrays[j + 1 :] for x in pair for y in other)
+
+
+@pytest.mark.parametrize(
+    "q_shape, docs_shape",
+    [((3, 4), (3, 5)), ((3, 4), (2, 4)), ((4,), (3, 4)), ((3, 4), (4,)), ((2, 3, 4), (2, 3, 4))],
+    ids=["row-width", "row-count", "row-for-stack", "stack-for-row", "three-dimensional"],
+)
+def test_rejects_stacks_of_other_shapes(q_shape, docs_shape):
+    with pytest.raises(ValueError, match=r"^q and docs must share an \(n,\) or \(B, n\) shape, got "):
+        optimal_attack(np.full(q_shape, 0.5), np.full(docs_shape, 2.0), 1.0)
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.5, np.nan])
+def test_rejects_one_bad_investment_in_a_stack(bad):
+    q = np.full((3, 4), 0.5)
+    q[2, 1] = bad
+    with pytest.raises(ValueError, match=r"^investments must be finite numbers in \[0, 1\]$"):
+        optimal_attack(q, np.full((3, 4), 2.0), 1.0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_rejects_non_finite_documents(bad):
     # NaN passes a plain lower-bound test, and would give an attack off the simplex.

@@ -532,6 +532,28 @@ def test_star_sweep_in_blocks_matches_one_block(capsys, monkeypatch, tmp_path):
     assert (tmp_path / "blocks.svg").read_bytes() == (tmp_path / "one.svg").read_bytes()
 
 
+def test_star_sweep_evaluates_each_stacked_solve_once(capsys, monkeypatch):
+    # Each stacked solve's outcomes come from one evaluate_outcome call and
+    # so one checked attack solve over the whole block, not one per point.
+    argv = ("sweep-investments", "--topology", "star", "--n", "5", "--p-grid", "0:1:21")
+    expected = run_cli(capsys, *argv)
+    calls = {"evaluate_outcome": [], "optimal_attack": []}
+
+    def counting(name):
+        real = getattr(game, name)
+
+        def call(*args):
+            calls[name].append(np.shape(args[2] if name == "evaluate_outcome" else args[0]))
+            return real(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(game, name, counting(name))
+    assert run_cli(capsys, *argv) == expected and expected[0] == 0
+    assert calls == {"evaluate_outcome": [(21, 5)] * 2, "optimal_attack": [(21, 5)] * 2}
+
+
 def test_sweep_names_the_failing_point(capsys, tmp_path):
     # No equilibrium is certified at p = 0.7, 0.8 or 0.9 on this graph; the
     # lowest of them is reported, as a point-by-point sweep would.

@@ -1411,6 +1411,101 @@ def test_evaluate_outcome_rejects_bad_investments(regime, q):
         evaluate_outcome(diss, Params(), q, regime)
 
 
+def _outcome_bytes(out):
+    """Every field of an outcome, arrays as bytes, floats by repr."""
+    attack = out.attack and (out.attack.a.tobytes(), repr(out.attack.lam), out.attack.active.tobytes())
+    return out.q.tobytes(), out.attack_vector.tobytes(), out.rewards.tobytes(), repr(out.welfare), attack
+
+
+def _outcome_stacks():
+    """(disses, qs) stacks: seeded random graphs at 7 p values and the
+    20-star over an 11-point grid, with investments at and inside [0, 1]."""
+    rng = np.random.default_rng(29)
+    stacks = []
+    for _ in range(12):
+        g = _random_connected_graph(rng, int(rng.integers(3, 8)))
+        stacks.append([reach_exact(g, p) for p in np.sort(rng.uniform(0.05, 0.95, 7))])
+    stacks.append([_closed_diss(star_graph(20), p) for p in np.linspace(0.0, 1.0, 11)])
+    for disses in stacks:
+        qs = rng.random((len(disses), disses[0].n))
+        qs[0], qs[1, 0] = 0.0, 1.0
+        yield disses, qs
+
+
+@pytest.mark.parametrize("regime", game.REGIMES)
+def test_stacked_evaluate_outcome_matches_per_point_calls(regime):
+    params = Params(1.2, 1.5)
+    for disses, qs in _outcome_stacks():
+        stacked = evaluate_outcome(disses, params, qs, regime)
+        assert [out.regime for out in stacked] == [regime] * len(disses)
+        assert [_outcome_bytes(out) for out in stacked] == [
+            _outcome_bytes(evaluate_outcome(d, params, q, regime)) for d, q in zip(disses, qs)
+        ]
+
+
+@pytest.mark.parametrize("regime", game.REGIMES)
+def test_stacked_outcomes_own_read_only_arrays(regime):
+    disses, qs = next(_outcome_stacks())
+    outs = evaluate_outcome(disses, Params(), qs, regime)
+    arrays = [
+        [out.q, out.attack_vector, out.rewards] + ([out.attack.a, out.attack.active] if out.attack else [])
+        for out in outs
+    ]
+    assert not any(arr.flags.writeable for row in arrays for arr in row)
+    assert not any(np.shares_memory(qs, arr) for row in arrays for arr in row)
+    for j, row in enumerate(arrays):
+        for other in arrays[j + 1 :]:
+            assert not any(np.shares_memory(x, y) for x in row for y in other)
+
+
+def test_stacked_evaluate_outcome_makes_one_attack_solve(monkeypatch):
+    disses, qs = next(_outcome_stacks())
+    calls = []
+    real = game.optimal_attack
+
+    def counting(*args):
+        calls.append(np.shape(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(game, "optimal_attack", counting)
+    evaluate_outcome(disses, Params(), qs, "opt-strategic")
+    evaluate_outcome(disses, Params(), qs, "opt-random")
+    assert calls == [qs.shape]
+
+
+@pytest.mark.parametrize("regime", game.REGIMES)
+@pytest.mark.parametrize(
+    "points, shape, bad, message",
+    [
+        (3, (2, 5), None, r"^expected investments of shape \(3, 5\), got shape \(2, 5\)$"),
+        (3, (3, 4), None, r"^expected investments of shape \(3, 5\), got shape \(3, 4\)$"),
+        (3, (5,), None, r"^expected investments of shape \(3, 5\), got shape \(5,\)$"),
+        (1, (1, 5), None, r"^expected investments of shape \(5,\), got shape \(1, 5\)$"),
+        (3, (3, 5), 1.5, r"^investments must be finite numbers in \[0, 1\]$"),
+        (3, (3, 5), np.nan, r"^investments must be finite numbers in \[0, 1\]$"),
+        (3, (3, 5), -0.1, r"^investments must be finite numbers in \[0, 1\]$"),
+        (0, (0, 5), None, r"^needs at least one dissemination$"),
+    ],
+    ids=["short-stack", "narrow-rows", "one-row-for-three", "stack-for-one",
+         "above-one", "nan", "negative", "no-points"],
+)
+def test_stacked_evaluate_outcome_rejects_bad_stacks(regime, points, shape, bad, message):
+    disses = [_closed_diss(ring_graph(5), p) for p in (0.2, 0.5, 0.8)][:points]
+    diss = disses[0] if points == 1 else disses
+    qs = np.full(shape, 0.5)
+    if bad is not None:
+        qs[1, 2] = bad  # one entry of one row
+    with pytest.raises(ValueError, match=message):
+        evaluate_outcome(diss, Params(), qs, regime)
+
+
+@pytest.mark.parametrize("regime", game.REGIMES)
+def test_stacked_evaluate_outcome_rejects_mixed_agent_counts(regime):
+    disses = [_closed_diss(ring_graph(5), 0.5), _closed_diss(ring_graph(6), 0.5)]
+    with pytest.raises(ValueError, match="^stacked disseminations disagree on the number of agents$"):
+        evaluate_outcome(disses, Params(), np.full((2, 5), 0.5), regime)
+
+
 def test_negated_jacobian_diagonal_dominance():
     # Off-diagonal mass D(n-1)/(omega n) + D(D-1)/(omega n) never exceeds
     # the diagonal 2D(n-1)/(omega n) + alpha at the symmetric equilibrium.
