@@ -1,6 +1,7 @@
 """Command-line front end: dissemination tables, attack solves, equilibria,
 parameter sweeps, and crossover reports, all as CSV (optionally with an SVG
-line chart).
+line chart).  A named command builds only its own parser; `netsec --help`
+builds them all and lists every command.
 
 Exit codes: 0 success, 2 invalid arguments or input, 3 solver
 non-convergence.  Identical invocations with identical seeds produce
@@ -139,12 +140,10 @@ def _cmd_disseminate(args) -> str:
     g = _resolve_graph(args)
     diss = _resolve_dissemination(g, args.p, args)
     lines = ["i,j,P_ij"]
-    for i in range(g.n):
-        for j in range(g.n):
-            lines.append(f"{i},{j},{_fmt(diss.reach[i, j])}")
+    for i, row in enumerate(diss.reach):  # Python floats format faster than numpy's
+        lines.extend(f"{i},{j},{_fmt(x)}" for j, x in enumerate(row.tolist()))
     lines.append("i,D_i")
-    for i in range(g.n):
-        lines.append(f"{i},{_fmt(diss.expected_docs[i])}")
+    lines.extend(f"{i},{_fmt(x)}" for i, x in enumerate(diss.expected_docs.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -259,12 +258,13 @@ def _cmd_sweep_investments(args) -> str:
             header.extend(f"{tag}_{i}" for i in range(n))
         profiles = _regime_profiles(g, grid, params, args)
         rows = [[p, *np.concatenate(profile)] for p, profile in zip(grid, profiles)]
+    rows = np.asarray(rows, dtype=float).tolist()  # Python floats format faster than numpy's
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in vals) for vals in rows)
     series = {
         name: [vals[idx] for vals in rows] for idx, name in enumerate(header) if idx
     }
-    _emit_svg(args, list(grid), series, f"investments on {g.topology} n={n}")
+    _emit_svg(args, grid.tolist(), series, f"investments on {g.topology} n={n}")
     return "\n".join(lines) + "\n"
 
 
@@ -325,14 +325,12 @@ def _cmd_crossover(args) -> str:
 # ---------------------------------------------------------------------------
 
 def _add_graph_options(sub, need_p=True):
+    """The graph, --p unless the command sweeps it, and the dissemination route."""
     sub.add_argument("--topology", choices=TOPOLOGIES, help="named topology family")
     sub.add_argument("--n", type=_agent_count, help="number of agents")
     sub.add_argument("--edges", help="edge-list file, one 'u v' pair per line")
     if need_p:
         sub.add_argument("--p", type=float, required=True, help="transmission probability")
-
-
-def _add_method_options(sub):
     sub.add_argument(
         "--method", choices=[METHOD_EXACT, METHOD_CLOSED, METHOD_MC], default=None,
         help="dissemination route (default: closed for named topologies, exact otherwise)",
@@ -341,28 +339,14 @@ def _add_method_options(sub):
     sub.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="netsec",
-        description="Two-stage network security game: dissemination, attacks, equilibria.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("disseminate", help="reach probabilities and expected documents")
+def _attack_options(sub):
     _add_graph_options(sub)
-    _add_method_options(sub)
-    sub.set_defaults(func=_cmd_disseminate)
-
-    sub = subs.add_parser("attack", help="optimal attack against given investments")
-    _add_graph_options(sub)
-    _add_method_options(sub)
     sub.add_argument("--q", required=True, help="comma-separated investments")
     sub.add_argument("--omega", type=float, default=1.0, help="attacker cost coefficient")
-    sub.set_defaults(func=_cmd_attack)
 
-    sub = subs.add_parser("equilibrium", help="equilibrium or socially optimal investments")
+
+def _equilibrium_options(sub):
     _add_graph_options(sub)
-    _add_method_options(sub)
     sub.add_argument("--regime", required=True, choices=game.REGIMES)
     sub.add_argument("--alpha", type=float, default=1.0, help="defender cost coefficient")
     sub.add_argument("--omega", type=float, default=1.0, help="attacker cost coefficient")
@@ -370,40 +354,78 @@ def build_parser() -> argparse.ArgumentParser:
         "--numeric", action="store_true",
         help="force the iterative solvers even when a closed form applies",
     )
-    sub.set_defaults(func=_cmd_equilibrium)
 
-    sub = subs.add_parser("sweep-investments", help="all four investment profiles over a p grid")
+
+def _crossover_options(sub, grid_help="grid for the star sweep"):
     _add_graph_options(sub, need_p=False)
-    _add_method_options(sub)
-    sub.add_argument("--p-grid", default="0:1:101", help="grid as a:b:steps")
+    sub.add_argument("--p-grid", default="0:1:101", help=grid_help)
     sub.add_argument("--alpha", type=float, default=1.0)
     sub.add_argument("--omega", type=float, default=1.0)
-    sub.add_argument("--svg", help="also render an SVG line chart to this path")
-    sub.set_defaults(func=_cmd_sweep_investments)
 
-    sub = subs.add_parser("sweep-documents", help="expected documents over a p grid")
+
+def _sweep_investments_options(sub):
+    _crossover_options(sub, grid_help="grid as a:b:steps")
+    sub.add_argument("--svg", help="also render an SVG line chart to this path")
+
+
+def _sweep_documents_options(sub):
     sub.add_argument("--topology", help="comma-separated topologies (default ring,complete)")
     sub.add_argument("--n", type=_agent_count, help="number of agents")
     sub.add_argument("--p-grid", default="0:1:101", help="grid as a:b:steps")
     sub.add_argument("--svg", help="also render an SVG line chart to this path")
-    sub.set_defaults(func=_cmd_sweep_documents)
 
-    sub = subs.add_parser("crossover", help="over- to under-investment crossover report")
-    _add_graph_options(sub, need_p=False)
-    _add_method_options(sub)
-    sub.add_argument("--p-grid", default="0:1:101", help="grid for the star sweep")
-    sub.add_argument("--alpha", type=float, default=1.0)
-    sub.add_argument("--omega", type=float, default=1.0)
-    sub.set_defaults(func=_cmd_crossover)
 
-    for sub in subs.choices.values():
-        sub.add_argument("--out", help="write CSV here instead of stdout")
+# name: (help, options, handler), in the order `netsec --help` lists them.
+_COMMANDS = {
+    "disseminate": ("reach probabilities and expected documents", _add_graph_options, _cmd_disseminate),
+    "attack": ("optimal attack against given investments", _attack_options, _cmd_attack),
+    "equilibrium": ("equilibrium or socially optimal investments", _equilibrium_options, _cmd_equilibrium),
+    "sweep-investments": ("all four investment profiles over a p grid",
+                          _sweep_investments_options, _cmd_sweep_investments),
+    "sweep-documents": ("expected documents over a p grid", _sweep_documents_options, _cmd_sweep_documents),
+    "crossover": ("over- to under-investment crossover report", _crossover_options, _cmd_crossover),
+}
+
+
+def _command_parser(name: str, parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """`parser` with command `name`'s options: a tree subparser, or a parser of its own."""
+    _, add_options, handler = _COMMANDS[name]
+    add_options(parser)
+    parser.add_argument("--out", help="write CSV here instead of stdout")
+    parser.set_defaults(func=handler, command=name)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The full tree: the top-level parser and one subparser per command."""
+    parser = argparse.ArgumentParser(
+        prog="netsec",
+        description="Two-stage network security game: dissemination, attacks, equilibria.",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _command_parser(name, subs.add_parser(name, help=help_text))
+    return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, building only the named command's parser.
+
+    The tree's subparser sees the same arguments through `parse_known_args`,
+    so a named command parses, and fails, as it would there.  Leftover
+    arguments and a first argument that names no command go to the tree,
+    whose top-level parser reports them.
+    """
+    if argv and argv[0] in _COMMANDS:
+        parser = _command_parser(argv[0], argparse.ArgumentParser(prog=f"netsec {argv[0]}"))
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         text = args.func(args)
     except NonConvergenceError as exc:

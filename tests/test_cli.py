@@ -301,6 +301,41 @@ def test_option_choices_are_the_library_names():
     )
 
 
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_named_command_help_is_the_tree_subparsers(capsys, command):
+    (subs,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert run_cli(capsys, command, "--help") == (0, subs.choices[command].format_help(), "")
+
+
+def _count_parsers(monkeypatch):
+    """A list that grows by one for every ArgumentParser built from now on."""
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+TREE = ["netsec", *(f"netsec {name}" for name in cli._COMMANDS)]
+VALID = ("--topology", "ring", "--n", "4", "--p", "0.5")
+
+
+@pytest.mark.parametrize("argv, code, parsers", [
+    (("equilibrium", "--regime", "nash-random", *VALID), 0, ["netsec equilibrium"]),
+    (("--help",), 0, TREE),
+    (("no-such-command",), 2, TREE),
+    # Leftover arguments go to the tree, whose top-level parser reports them.
+    (("disseminate", *VALID, "--bogus", "1"), 2, ["netsec disseminate", *TREE]),
+])
+def test_a_named_command_builds_only_its_own_parser(capsys, monkeypatch, argv, code, parsers):
+    built = _count_parsers(monkeypatch)
+    assert run_cli(capsys, *argv)[0] == code
+    assert built == parsers
+
+
 def test_monte_carlo_defaults_are_100000_samples_and_seed_0(capsys):
     argv = ("disseminate", "--topology", "ring", "--n", "6", "--p", "0.5", "--method", "mc")
     default = run_cli(capsys, *argv)

@@ -144,3 +144,35 @@ def test_cli_exits_0_2_or_3_without_traceback(edges_path, case):
     samples = [int(arg.split("=", 1)[1]) for arg in argv if arg.startswith("--samples=")]
     if samples and samples[0] < 1:  # refused whichever method would run
         assert code == 2, (argv, err)
+
+
+def _parse_outcome(parse, argv):
+    """(namespace, "", "") of a parse, or (exit code, stdout, stderr) of its exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv)), "", ""
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=argvs())
+@example(case=([], None))
+@example(case=(["-h"], None))
+@example(case=(["--help"], None))
+@example(case=(["--"], None))
+@example(case=(["--", "equilibrium"], None))
+@example(case=(["equilibrium", "--", "--p=0.5"], None))
+@example(case=(["no-such-command", "--p=0.5"], None))
+@example(case=(["equilibrium", "--regime=nash-random", "--topology=ring", "--n=4", "--p=0.5", "--"],
+               None))
+def test_named_command_parses_as_the_whole_tree(case):
+    """Parsing with the named command's own parser, as `cli.main` does, gives
+    the tree's namespace, or its exit code and bytes; so does the same argv
+    with unknown arguments after it."""
+    argv, _ = case
+    for args in (argv, [*argv, "--bogus", "1"]):
+        assert _parse_outcome(cli._parse_args, args) == _parse_outcome(
+            cli.build_parser().parse_args, args
+        ), args
