@@ -78,6 +78,8 @@ def _sample_count(text: str) -> int:
     samples = _int_value(text)
     if samples < 1:
         raise argparse.ArgumentTypeError(f"needs at least 1 sample, got {samples}")
+    if samples >= 2**62:  # Monte Carlo draws 2 * samples spreads as an int64
+        raise argparse.ArgumentTypeError(f"at most 2**62 - 1 samples, got {samples}")
     return samples
 
 
@@ -204,19 +206,28 @@ def _cmd_equilibrium(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _regime_profiles(g: Graph, grid, params: Params, args):
-    """Investments under each of game.REGIMES, in order, at every grid point
-    of a star or custom graph.
+def _regime_profiles(g: Graph, grid, params: Params, args) -> np.ndarray:
+    """Investments under the command's costs `params`, shape (points, 4,
+    agents), regimes in game.REGIMES order.
 
-    `params` holds the command's costs for every point.  Points are
-    solved in grid order, in blocks whose stacked reach matrices fit in
-    _SWEEP_BLOCK_BYTES; each block's strategic equilibria and social optima
-    come from one stacked call each over the whole block.  A failure names
-    its p: the lowest failing point's, the equilibrium's first at a tie, as
-    a point-by-point sweep meets it.
+    Ring and complete graphs take the closed forms at the scalar d = docs[0]
+    (averaging the row can move the last bit).  Other graphs are solved in
+    grid order, in blocks whose stacked reach matrices fit in
+    _SWEEP_BLOCK_BYTES, with one stacked equilibrium and one stacked optimum
+    call per block.  A failure names its p: the lowest failing point's, the
+    equilibrium's first at a tie, as a point-by-point sweep meets it.
     """
-    block = max(1, _SWEEP_BLOCK_BYTES // (8 * g.n * g.n))
-    profiles = []
+    n = g.n
+    profiles = np.empty((len(grid), len(game.REGIMES), n))
+    profiles[:, 0] = game.nash_random(n, params.alpha)
+    if _vt_closed_forms(g, args):
+        for profile, p in zip(profiles, grid):
+            docs = topology_docs(g.topology, n, p)
+            profile[1] = game.social_optimum_random(docs, params.alpha)
+            profile[2] = game.nash_strategic_vt(docs[0], n, params.alpha, params.omega)
+            profile[3] = game.social_optimum_strategic_vt(docs[0], n, params.alpha)
+        return profiles
+    block = max(1, _SWEEP_BLOCK_BYTES // (8 * n * n))
     for first in range(0, len(grid), block):
         points = grid[first : first + block]
         disses = [_resolve_dissemination(g, p, args) for p in points]
@@ -229,9 +240,9 @@ def _regime_profiles(g: Graph, grid, params: Params, args):
         if failures:
             failed = min(failures, key=lambda exc: exc.index)  # the equilibrium's on ties
             raise NonConvergenceError(f"at p = {_fmt(points[failed.index])}: {failed}") from failed
-        for diss, q_ns, q_os in zip(disses, *solved):
-            q_or = game.social_optimum_random(diss.expected_docs, params.alpha)
-            profiles.append([game.nash_random(g.n, params.alpha), q_or, q_ns.q, q_os.q])
+        for profile, diss, q_ns, q_os in zip(profiles[first:], disses, *solved):
+            profile[1] = game.social_optimum_random(diss.expected_docs, params.alpha)
+            profile[2:] = q_ns.q, q_os.q
     return profiles
 
 
@@ -239,32 +250,18 @@ def _cmd_sweep_investments(args) -> str:
     g = _resolve_graph(args)
     params = Params(args.alpha, args.omega)  # checks the costs before any grid point
     grid = _parse_grid(args.p_grid)
-    n = g.n
-    if _vt_closed_forms(g, args):
-        header = ["p", "q_NR", "q_OR", "q_NS", "q_OS"]
-
-        def row(p):
-            docs = topology_docs(g.topology, n, p)
-            d = docs[0]  # a scalar: averaging the row can move the last bit
-            q_or = game.social_optimum_random(docs, args.alpha)[0]
-            q_ns = game.nash_strategic_vt(d, n, args.alpha, args.omega)[0]
-            q_os = game.social_optimum_strategic_vt(d, n, args.alpha)[0]
-            return [p, game.nash_random(n, args.alpha)[0], q_or, q_ns, q_os]
-
-        rows = [row(p) for p in grid]
+    profiles = _regime_profiles(g, grid, params, args)
+    tags = ["q_NR", "q_OR", "q_NS", "q_OS"]
+    if g.topology in VT_TOPOLOGIES:  # every agent invests alike
+        columns = profiles[:, :, 0]
     else:
-        header = ["p"]
-        for tag in ("q_NR", "q_OR", "q_NS", "q_OS"):
-            header.extend(f"{tag}_{i}" for i in range(n))
-        profiles = _regime_profiles(g, grid, params, args)
-        rows = [[p, *np.concatenate(profile)] for p, profile in zip(grid, profiles)]
-    rows = np.asarray(rows, dtype=float).tolist()  # Python floats format faster than numpy's
-    lines = [",".join(header)]
+        tags = [f"{tag}_{i}" for tag in tags for i in range(g.n)]
+        columns = profiles.reshape(len(grid), -1)
+    rows = np.column_stack([grid, columns]).tolist()  # Python floats format faster than numpy's
+    lines = [",".join(["p", *tags])]
     lines.extend(",".join(_fmt(v) for v in vals) for vals in rows)
-    series = {
-        name: [vals[idx] for vals in rows] for idx, name in enumerate(header) if idx
-    }
-    _emit_svg(args, grid.tolist(), series, f"investments on {g.topology} n={n}")
+    series = dict(zip(tags, columns.T.tolist()))
+    _emit_svg(args, grid.tolist(), series, f"investments on {g.topology} n={g.n}")
     return "\n".join(lines) + "\n"
 
 
@@ -304,7 +301,7 @@ def _cmd_crossover(args) -> str:
         grid = _parse_grid(args.p_grid)
         profiles = _regime_profiles(g, grid, Params(args.alpha, args.omega), args)
         for label, idx in (("center", 0), ("leaf", 1)):
-            gaps = np.array([q_ns[idx] - q_os[idx] for _, _, q_ns, q_os in profiles])
+            gaps = profiles[:, 2, idx] - profiles[:, 3, idx]
             found = False
             for k in np.nonzero(np.sign(gaps[:-1]) * np.sign(gaps[1:]) < 0)[0]:
                 frac = gaps[k] / (gaps[k] - gaps[k + 1])

@@ -455,28 +455,27 @@ def reach_monte_carlo(
     std_err holds the binomial standard error of each entry.
     """
     _check_p(p)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    if not 1 <= samples < 2**62:  # 2 * samples spreads must fit in int64
+        raise ValueError(f"samples must be in [1, 2**62 - 1], got {samples}")
     n, edges = g.n, g.edges
     m = len(edges)
     spreads = 2 * samples
     rng = np.random.default_rng(seed & (2**64 - 1))
-    counts = np.zeros((n, n))
-    if 1 << m <= _MC_CHUNK:
+    if 1 << m <= _MC_CHUNK:  # one batch: each set that occurs, weighted by its count
         mult = _edge_set_counts(rng, spreads, m, p)
         masks = np.flatnonzero(mult)
-        weight = mult[masks].astype(float)
         present = ((masks[:, None] >> np.arange(m)) & 1).astype(bool)
+        batches = [(present, mult[masks].astype(float))]
+    else:  # chunks of spreads, drawn as the loop reaches them
+        chunk = max(1, min(_MC_CHUNK, _MC_DRAWS // m))
+        batches = ((rng.random((min(chunk, spreads - start), m)) < p, None)
+                   for start in range(0, spreads, chunk))
+    counts = np.zeros((n, n))
+    for present, weight in batches:
         labels = _component_labels(present, edges, n)
         for src in range(n):
-            counts[src] = weight @ (labels == labels[:, src : src + 1])
-    else:
-        chunk = max(1, min(_MC_CHUNK, _MC_DRAWS // m))
-        for start in range(0, spreads, chunk):
-            present = rng.random((min(chunk, spreads - start), m)) < p
-            labels = _component_labels(present, edges, n)
-            for src in range(n):
-                counts[src] += (labels == labels[:, src : src + 1]).sum(axis=0)
+            joined = labels == labels[:, src : src + 1]
+            counts[src] += joined.sum(axis=0) if weight is None else weight @ joined
     reach = counts / spreads
     std_err = np.sqrt(reach * (1.0 - reach) / spreads)
     return Dissemination(reach, reach.sum(axis=0), METHOD_MC, std_err=std_err)

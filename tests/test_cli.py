@@ -14,6 +14,7 @@ from netsec.dissemination import (
     Params,
     complete_docs,
     disseminate,
+    topology_docs,
 )
 from netsec.game import NonConvergenceError
 from netsec.graph import TOPOLOGIES, ring_graph, star_graph
@@ -447,6 +448,18 @@ def test_samples_below_one_exits_2_for_every_method(capsys, method, samples):
     assert "at least 1 sample" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("method", ["exact", "closed", "mc"])
+def test_samples_past_the_int64_spread_count_exit_2_for_every_method(capsys, method):
+    # Monte Carlo draws 2 * samples spreads as an int64 count.
+    code, out, err = run_cli(
+        capsys, "disseminate", "--topology", "ring", "--n", "6", "--p", "0.5",
+        "--method", method, "--samples", str(2**62),
+    )
+    assert code == 2
+    assert out == ""
+    assert "at most 2**62 - 1 samples" in err and "Traceback" not in err
+
+
 # Graphs without a certified pure strategic equilibrium at these p.  The
 # 5-node graph 0 1/1 2/1 3/1 4/2 3/2 4 at p = 0.6413, once listed here, has
 # one; test_game.py::test_brd_refuses_non_equilibrium checks it on a grid.
@@ -565,6 +578,64 @@ def test_star_sweep_in_blocks_matches_one_block(capsys, monkeypatch, tmp_path):
     assert stacks == {"best_response_dynamics": [8, 8, 5], "social_optimum_numeric": [8, 8, 5]}
     assert one_block[0] == 0 and blocks == one_block
     assert (tmp_path / "blocks.svg").read_bytes() == (tmp_path / "one.svg").read_bytes()
+
+
+def _profiles(argv, p_grid):
+    """The command's graph and its profile array over `p_grid` at alpha 1.3, omega 2."""
+    args = cli._parse_args(argv)
+    g = cli._resolve_graph(args)
+    grid = cli._parse_grid(p_grid)
+    return g, grid, cli._regime_profiles(g, grid, Params(1.3, 2.0), args)
+
+
+@pytest.mark.parametrize("topology, n", [("ring", 6), ("complete", 5)])
+def test_closed_form_profiles_hold_each_regime_in_order(topology, n):
+    _, grid, profiles = _profiles(
+        ["sweep-investments", "--topology", topology, "--n", str(n)], "0:1:21"
+    )
+    assert profiles.shape == (21, len(game.REGIMES), n)
+    for profile, p in zip(profiles, grid):
+        docs = topology_docs(topology, n, p)
+        d = docs[0]
+        expected = {
+            game.NASH_RANDOM: game.nash_random(n, 1.3),
+            game.OPT_RANDOM: game.social_optimum_random(docs, 1.3),
+            game.NASH_STRATEGIC: game.nash_strategic_vt(d, n, 1.3, 2.0),
+            game.OPT_STRATEGIC: game.social_optimum_strategic_vt(d, n, 1.3),
+        }
+        assert profile.tobytes() == np.array([expected[r] for r in game.REGIMES]).tobytes()
+
+
+@pytest.mark.parametrize("graph, n, method", [
+    (("--topology", "star", "--n", "5"), 5, METHOD_CLOSED),
+    (("--edges", "EDGES"), 4, METHOD_EXACT),
+])
+def test_solved_profiles_match_point_by_point_solves_across_blocks(monkeypatch, tmp_path, graph, n, method):
+    path = tmp_path / "graph.txt"
+    path.write_text("0 1\n0 2\n1 2\n2 3\n", encoding="utf-8")
+    argv = ["sweep-investments", *(str(path) if arg == "EDGES" else arg for arg in graph)]
+    monkeypatch.setattr(cli, "_SWEEP_BLOCK_BYTES", 8 * 3 * n * n)  # 3 points a block
+    g, grid, profiles = _profiles(argv, "0.05:0.95:7")
+    assert profiles.shape == (7, len(game.REGIMES), n)
+    params = Params(1.3, 2.0)
+    for profile, p in zip(profiles, grid):
+        diss = disseminate(g, p, method)
+        expected = {
+            game.NASH_RANDOM: game.nash_random(n, 1.3),
+            game.OPT_RANDOM: game.social_optimum_random(diss.expected_docs, 1.3),
+            game.NASH_STRATEGIC: game.best_response_dynamics(diss, params).q,
+            game.OPT_STRATEGIC: game.social_optimum_numeric(diss, params).q,
+        }
+        assert profile.tobytes() == np.array([expected[r] for r in game.REGIMES]).tobytes()
+
+
+def test_ring_sweep_refuses_monte_carlo(capsys):
+    assert run_cli(capsys, "sweep-investments", "--topology", "ring", "--n", "6", "--method", "mc") == (
+        2,
+        "",
+        "netsec: --method mc is not used on ring graphs, whose closed forms are exact; "
+        "give the graph with --edges to use it\n",
+    )
 
 
 def test_star_sweep_evaluates_each_stacked_solve_once(capsys, monkeypatch):

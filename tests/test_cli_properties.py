@@ -1,6 +1,6 @@
 """Property test over CLI argument vectors: every run ends with exit code 0,
-2 or 3 and never with a traceback, and a --samples below 1 exits 2 whatever
-the method.
+2 or 3 and never with a traceback, and a --samples below 1 or above
+2**62 - 1 exits 2 whatever the method.
 
 Most drawn values are valid, so the commands run to the end; the rest are
 NaN, infinities, out-of-range numbers, junk text or missing options.
@@ -127,6 +127,8 @@ def edges_path(tmp_path_factory):
 @example(case=(["disseminate", "--topology=ring", f"--n={10**12}", "--p=0.5"], None))
 @example(case=(["disseminate", "--topology=ring", "--n=5", "--p=0.5", "--method=exact",
                  "--samples=-3"], None))
+@example(case=(["disseminate", "--topology=ring", "--n=6", "--p=0.5", "--method=mc",
+                 f"--samples={2**62}"], None))
 def test_cli_exits_0_2_or_3_without_traceback(edges_path, case):
     argv, edges = case
     if edges is not None:
@@ -142,7 +144,7 @@ def test_cli_exits_0_2_or_3_without_traceback(edges_path, case):
     assert code in (0, 2, 3), (argv, err)
     assert "Traceback" not in err
     samples = [int(arg.split("=", 1)[1]) for arg in argv if arg.startswith("--samples=")]
-    if samples and samples[0] < 1:  # refused whichever method would run
+    if samples and not 1 <= samples[0] < 2**62:  # refused whichever method would run
         assert code == 2, (argv, err)
 
 

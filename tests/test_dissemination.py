@@ -437,6 +437,14 @@ def test_monte_carlo_rejects_bad_samples():
         reach_monte_carlo(ring_graph(4), 0.5, 0)
 
 
+def test_monte_carlo_bounds_samples_where_the_spread_count_fits_int64():
+    # 2 * samples spreads are drawn as an int64 binomial count.
+    with pytest.raises(ValueError, match=r"2\*\*62 - 1"):
+        reach_monte_carlo(ring_graph(6), 0.5, 2**62)
+    mc = reach_monte_carlo(ring_graph(6), 0.5, 2**62 - 1)
+    np.testing.assert_allclose(mc.reach, reach_closed_form(ring_graph(6), 0.5).reach, atol=1e-6)
+
+
 def test_monte_carlo_invariant_to_batch_size(monkeypatch):
     # One stream read in order makes the per-spread estimate independent of
     # how the spreads are batched internally; a 20-ring's 2**20 edge sets
