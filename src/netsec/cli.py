@@ -1,7 +1,10 @@
 """Command-line front end: dissemination tables, attack solves, equilibria,
 parameter sweeps, and crossover reports, all as CSV (optionally with an SVG
-line chart).  A named command builds only its own parser; `netsec --help`
-builds them all and lists every command.
+line chart).  A command line that names a command and gives only plain
+options (`--name=value`, `--name value`, or a bare flag) is read straight
+from that command's option table, and builds no parser; anything else,
+help and errors included, goes through the full argparse tree, with its
+messages and exit codes.
 
 Exit codes: 0 success, 2 invalid arguments or input, 3 solver
 non-convergence.  Identical invocations with identical seeds produce
@@ -321,76 +324,55 @@ def _cmd_crossover(args) -> str:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_graph_options(sub, need_p=True):
-    """The graph, --p unless the command sweeps it, and the dissemination route."""
-    sub.add_argument("--topology", choices=TOPOLOGIES, help="named topology family")
-    sub.add_argument("--n", type=_agent_count, help="number of agents")
-    sub.add_argument("--edges", help="edge-list file, one 'u v' pair per line")
-    if need_p:
-        sub.add_argument("--p", type=float, required=True, help="transmission probability")
-    sub.add_argument(
-        "--method", choices=[METHOD_EXACT, METHOD_CLOSED, METHOD_MC], default=None,
-        help="dissemination route (default: closed for named topologies, exact otherwise)",
-    )
-    sub.add_argument("--samples", type=_sample_count, default=100_000, help="Monte Carlo samples")
-    sub.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
+_N = ("--n", {"type": _agent_count, "help": "number of agents"})
+_GRAPH = (
+    ("--topology", {"choices": TOPOLOGIES, "help": "named topology family"}),
+    _N,
+    ("--edges", {"help": "edge-list file, one 'u v' pair per line"}),
+)
+_P = ("--p", {"type": float, "required": True, "help": "transmission probability"})
+_ROUTE = (
+    ("--method", {
+        "choices": [METHOD_EXACT, METHOD_CLOSED, METHOD_MC], "default": None,
+        "help": "dissemination route (default: closed for named topologies, exact otherwise)",
+    }),
+    ("--samples", {"type": _sample_count, "default": 100_000, "help": "Monte Carlo samples"}),
+    ("--seed", {"type": int, "default": 0, "help": "Monte Carlo seed"}),
+)
+_OMEGA = ("--omega", {"type": float, "default": 1.0, "help": "attacker cost coefficient"})
+_COSTS = (("--alpha", {"type": float, "default": 1.0}), ("--omega", {"type": float, "default": 1.0}))
+_GRID = ("--p-grid", {"default": "0:1:101", "help": "grid as a:b:steps"})
+_SVG = ("--svg", {"help": "also render an SVG line chart to this path"})
+_OUT = ("--out", {"help": "write CSV here instead of stdout"})
 
-
-def _attack_options(sub):
-    _add_graph_options(sub)
-    sub.add_argument("--q", required=True, help="comma-separated investments")
-    sub.add_argument("--omega", type=float, default=1.0, help="attacker cost coefficient")
-
-
-def _equilibrium_options(sub):
-    _add_graph_options(sub)
-    sub.add_argument("--regime", required=True, choices=game.REGIMES)
-    sub.add_argument("--alpha", type=float, default=1.0, help="defender cost coefficient")
-    sub.add_argument("--omega", type=float, default=1.0, help="attacker cost coefficient")
-    sub.add_argument(
-        "--numeric", action="store_true",
-        help="force the iterative solvers even when a closed form applies",
-    )
-
-
-def _crossover_options(sub, grid_help="grid for the star sweep"):
-    _add_graph_options(sub, need_p=False)
-    sub.add_argument("--p-grid", default="0:1:101", help=grid_help)
-    sub.add_argument("--alpha", type=float, default=1.0)
-    sub.add_argument("--omega", type=float, default=1.0)
-
-
-def _sweep_investments_options(sub):
-    _crossover_options(sub, grid_help="grid as a:b:steps")
-    sub.add_argument("--svg", help="also render an SVG line chart to this path")
-
-
-def _sweep_documents_options(sub):
-    sub.add_argument("--topology", help="comma-separated topologies (default ring,complete)")
-    sub.add_argument("--n", type=_agent_count, help="number of agents")
-    sub.add_argument("--p-grid", default="0:1:101", help="grid as a:b:steps")
-    sub.add_argument("--svg", help="also render an SVG line chart to this path")
-
-
-# name: (help, options, handler), in the order `netsec --help` lists them.
+# name: (help, options, handler), in the order `netsec --help` lists them;
+# each option is (flag, add_argument keywords), in the order its help lists them.
 _COMMANDS = {
-    "disseminate": ("reach probabilities and expected documents", _add_graph_options, _cmd_disseminate),
-    "attack": ("optimal attack against given investments", _attack_options, _cmd_attack),
-    "equilibrium": ("equilibrium or socially optimal investments", _equilibrium_options, _cmd_equilibrium),
-    "sweep-investments": ("all four investment profiles over a p grid",
-                          _sweep_investments_options, _cmd_sweep_investments),
-    "sweep-documents": ("expected documents over a p grid", _sweep_documents_options, _cmd_sweep_documents),
-    "crossover": ("over- to under-investment crossover report", _crossover_options, _cmd_crossover),
+    "disseminate": ("reach probabilities and expected documents", (*_GRAPH, _P, *_ROUTE, _OUT),
+                    _cmd_disseminate),
+    "attack": ("optimal attack against given investments", (
+        *_GRAPH, _P, *_ROUTE, ("--q", {"required": True, "help": "comma-separated investments"}),
+        _OMEGA, _OUT,
+    ), _cmd_attack),
+    "equilibrium": ("equilibrium or socially optimal investments", (
+        *_GRAPH, _P, *_ROUTE, ("--regime", {"required": True, "choices": game.REGIMES}),
+        ("--alpha", {"type": float, "default": 1.0, "help": "defender cost coefficient"}), _OMEGA,
+        ("--numeric", {"action": "store_true",
+                       "help": "force the iterative solvers even when a closed form applies"}),
+        _OUT,
+    ), _cmd_equilibrium),
+    "sweep-investments": ("all four investment profiles over a p grid", (
+        *_GRAPH, *_ROUTE, _GRID, *_COSTS, _SVG, _OUT,
+    ), _cmd_sweep_investments),
+    "sweep-documents": ("expected documents over a p grid", (
+        ("--topology", {"help": "comma-separated topologies (default ring,complete)"}), _N,
+        _GRID, _SVG, _OUT,
+    ), _cmd_sweep_documents),
+    "crossover": ("over- to under-investment crossover report", (
+        *_GRAPH, *_ROUTE, ("--p-grid", {"default": "0:1:101", "help": "grid for the star sweep"}),
+        *_COSTS, _OUT,
+    ), _cmd_crossover),
 }
-
-
-def _command_parser(name: str, parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """`parser` with command `name`'s options: a tree subparser, or a parser of its own."""
-    _, add_options, handler = _COMMANDS[name]
-    add_options(parser)
-    parser.add_argument("--out", help="write CSV here instead of stdout")
-    parser.set_defaults(func=handler, command=name)
-    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,38 +382,69 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-stage network security game: dissemination, attacks, equilibria.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in _COMMANDS.items():
-        _command_parser(name, subs.add_parser(name, help=help_text))
+    for name, (help_text, options, handler) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(func=handler, command=name)
     return parser
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)`, building only the named command's parser.
+    """`build_parser().parse_args(argv)`, read straight from the named
+    command's option table when every later token is a plain option:
+    `--name=value`, `--name value` with a value not starting with "-", or a
+    bare flag, each name in full and each value of its type and choices.
 
-    The tree's subparser sees the same arguments through `parse_known_args`,
-    so a named command parses, and fails, as it would there.  Leftover
-    arguments and a first argument that names no command go to the tree,
-    whose top-level parser reports them.
+    Anything else (help, `--`, an abbreviation, an unknown option or
+    argument, a value argparse would read or refuse otherwise, a missing
+    required option, or no command) goes to the tree, which parses it or
+    exits with its own message and code.
     """
     if argv and argv[0] in _COMMANDS:
-        parser = _command_parser(argv[0], argparse.ArgumentParser(prog=f"netsec {argv[0]}"))
-        args, extra = parser.parse_known_args(argv[1:])
-        if not extra:
-            return args
+        _, options, handler = _COMMANDS[argv[0]]
+        table, values, tokens = dict(options), {}, iter(argv[1:])
+        for token in tokens:
+            flag, eq, text = token.partition("=")
+            kwargs = table.get(flag)
+            if kwargs is None:
+                break
+            if "action" in kwargs:  # a store_true flag takes no value
+                if eq:
+                    break
+                values[flag] = True
+                continue
+            if not eq:
+                text = next(tokens, "-")  # no value left hands off as a dash does
+                if text.startswith("-"):
+                    break
+            try:
+                value = kwargs.get("type", str)(text)
+            except (ValueError, TypeError, argparse.ArgumentTypeError):
+                break
+            if value not in kwargs.get("choices", [value]):
+                break
+            values[flag] = value
+        else:
+            if all(flag in values for flag, kwargs in options if kwargs.get("required")):
+                return argparse.Namespace(func=handler, command=argv[0], **{
+                    flag[2:].replace("-", "_"):
+                        values.get(flag, False if "action" in kwargs else kwargs.get("default"))
+                    for flag, kwargs in options
+                })
     return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        text = args.func(args)
+        _emit(args, args.func(args))
     except NonConvergenceError as exc:
         print(f"netsec: solver did not converge: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"netsec: {exc}", file=sys.stderr)
         return 2
-    _emit(args, text)
     return 0
 
 

@@ -325,13 +325,14 @@ VALID = ("--topology", "ring", "--n", "4", "--p", "0.5")
 
 
 @pytest.mark.parametrize("argv, code, parsers", [
-    (("equilibrium", "--regime", "nash-random", *VALID), 0, ["netsec equilibrium"]),
+    (("equilibrium", "--regime", "nash-random", *VALID), 0, []),
+    # Help and errors go to the tree, whose parsers print and exit.
     (("--help",), 0, TREE),
     (("no-such-command",), 2, TREE),
-    # Leftover arguments go to the tree, whose top-level parser reports them.
-    (("disseminate", *VALID, "--bogus", "1"), 2, ["netsec disseminate", *TREE]),
+    (("disseminate", *VALID, "--bogus", "1"), 2, TREE),
+    (("disseminate", "--topology", "ring", "--n", "abc", "--p", "0.5"), 2, TREE),
 ])
-def test_a_named_command_builds_only_its_own_parser(capsys, monkeypatch, argv, code, parsers):
+def test_a_plain_named_command_builds_no_parser(capsys, monkeypatch, argv, code, parsers):
     built = _count_parsers(monkeypatch)
     assert run_cli(capsys, *argv)[0] == code
     assert built == parsers
@@ -772,6 +773,19 @@ def test_solving_optima_leaves_numpy_random_unloaded():
         "print(codes, 'numpy.random' in sys.modules)\n"
     )
     assert _python_prints(code) == "[0, 0] False\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("disseminate", "--topology", "ring", "--n", "4", "--p", "0.5", "--out"),
+    ("sweep-investments", "--topology", "ring", "--n", "4", "--p-grid", "0:1:3", "--svg"),
+])
+def test_unwritable_output_path_exits_2_with_one_line(tmp_path, argv):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-m", "netsec.cli", *argv, str(tmp_path / "no-dir" / "x")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("netsec: ")
+    assert "Traceback" not in done.stderr
 
 
 def test_number_formatting_12_digits(capsys):

@@ -3,7 +3,8 @@
 2**62 - 1 exits 2 whatever the method.
 
 Most drawn values are valid, so the commands run to the end; the rest are
-NaN, infinities, out-of-range numbers, junk text or missing options.
+NaN, infinities, out-of-range numbers, junk text or missing options.  Each
+option is drawn as --name=value or as two tokens, --name value.
 Strategic equilibria, investment sweeps and crossovers are drawn only on
 rings and complete graphs, where closed forms apply, and Monte Carlo runs
 use at most 1000 samples, so each example finishes in milliseconds.
@@ -59,16 +60,21 @@ def graphs(draw, topologies=("ring", "star", "complete"), edges=True):
     kind = draw(st.sampled_from(kinds))
     if kind == "named":
         n = draw(AGENTS)
-        return [f"--topology={draw(st.sampled_from(topologies))}", f"--n={n}"], None, n
+        return _options(draw, topology=draw(st.sampled_from(topologies)), n=n), None, n
     if kind == "edges":
         text, n = draw(edge_lists())
         return ["--edges", "EDGES"], text, n
     return [], None, 0
 
 
-def _options(**draws):
-    """--name=value pairs for each option drawn, leaving out the absent ones."""
-    return [f"--{name}={value}" for name, value in draws.items() if value is not None]
+def _options(draw, **draws):
+    """Each option drawn as --name=value or as --name value, leaving out the
+    absent ones."""
+    argv = []
+    for name, value in draws.items():
+        if value is not None:
+            argv += [f"--{name}", str(value)] if draw(st.booleans()) else [f"--{name}={value}"]
+    return argv
 
 
 def _maybe(strategy):
@@ -78,6 +84,7 @@ def _maybe(strategy):
 @st.composite
 def method_options(draw):
     return _options(
+        draw,
         method=draw(_maybe(st.sampled_from(["exact", "closed", "mc"]))),
         samples=draw(_maybe(st.integers(1, 1000) | st.integers(-2, 0))),
         seed=draw(_maybe(st.integers(0, 99) | st.integers(-2, 2**70))),
@@ -90,29 +97,29 @@ def argvs(draw):
         ["disseminate", "attack", "equilibrium", "sweep-investments",
          "sweep-documents", "crossover"]
     ))
-    costs = _options(alpha=draw(_maybe(COSTS)), omega=draw(_maybe(COSTS)))
+    costs = _options(draw, alpha=draw(_maybe(COSTS)), omega=draw(_maybe(COSTS)))
     edges = None
     if command in ("disseminate", "attack"):
         graph, edges, n = draw(graphs())
-        argv = [*graph, *draw(method_options()), f"--p={draw(PROBS)}"]
+        argv = [*graph, *draw(method_options()), *_options(draw, p=draw(PROBS))]
         if command == "attack":
             sizes = st.just(n) if 0 <= n <= 12 else st.integers(0, 13)
             q = draw(sizes.flatmap(lambda size: st.lists(PROBS, min_size=size, max_size=size)))
-            argv += [f"--q={','.join(q)}", *_options(omega=draw(_maybe(COSTS)))]
+            argv += _options(draw, q=",".join(q), omega=draw(_maybe(COSTS)))
     elif command == "equilibrium":
         regime = draw(st.sampled_from(game.REGIMES))
         strategic = regime in (game.NASH_STRATEGIC, game.OPT_STRATEGIC)
         graph, edges, _ = draw(graphs(VT, edges=False) if strategic else graphs())
-        argv = [*graph, *draw(method_options()), f"--p={draw(PROBS)}",
-                f"--regime={regime}", *costs]
+        argv = [*graph, *draw(method_options()), *_options(draw, p=draw(PROBS), regime=regime),
+                *costs]
     elif command == "sweep-documents":
         topology = draw(st.sampled_from(["ring", "star", "complete", "ring,star", "cube"]))
-        argv = _options(topology=topology, n=draw(_maybe(AGENTS)),
+        argv = _options(draw, topology=topology, n=draw(_maybe(AGENTS)),
                         **{"p-grid": draw(_maybe(GRIDS))})
     else:
         graph, _, _ = draw(graphs(VT, edges=False))
         argv = [*graph, *draw(method_options()), *costs,
-                *_options(**{"p-grid": draw(_maybe(GRIDS))})]
+                *_options(draw, **{"p-grid": draw(_maybe(GRIDS))})]
     return [command, *argv], edges
 
 
@@ -144,6 +151,7 @@ def test_cli_exits_0_2_or_3_without_traceback(edges_path, case):
     assert code in (0, 2, 3), (argv, err)
     assert "Traceback" not in err
     samples = [int(arg.split("=", 1)[1]) for arg in argv if arg.startswith("--samples=")]
+    samples += [int(value) for arg, value in zip(argv, argv[1:]) if arg == "--samples"]
     if samples and not 1 <= samples[0] < 2**62:  # refused whichever method would run
         assert code == 2, (argv, err)
 
@@ -169,10 +177,24 @@ def _parse_outcome(parse, argv):
 @example(case=(["no-such-command", "--p=0.5"], None))
 @example(case=(["equilibrium", "--regime=nash-random", "--topology=ring", "--n=4", "--p=0.5", "--"],
                None))
+# Shapes the option table hands to the tree, and a repeated option, whose last value wins.
+@example(case=(["disseminate", "--topology", "ring", "--n", "4", "--p", "-0.5"], None))
+@example(case=(["disseminate", "--topology", "ring", "--n", "4", "--p", "0.5", "--seed", "-1"], None))
+@example(case=(["disseminate", "--topology", "ring", "--n", "4", "--p", "-inf"], None))
+@example(case=(["disseminate", "--topology=cube", "--n=4", "--p=0.5"], None))
+@example(case=(["attack", "--topology=ring", "--n=4", "--p=0.5"], None))
+@example(case=(["equilibrium", "--regime=nash-random", "--topology=ring", "--n=4", "--p=0.5",
+                "--numeric=1"], None))
+@example(case=(["equilibrium", "--reg", "nash-random", "--topology", "ring", "--n", "4", "--p", "0.5"],
+               None))
+@example(case=(["disseminate", "--topology=ring", "--n=4", "--n=5", "--p=0.5", "--p", "0.25"], None))
+@example(case=(["disseminate", "--topology=ring", "--n=4", "--p"], None))
+@example(case=(["disseminate", "--edges=", "--p=0.5"], None))
+@example(case=(["disseminate", "--topology=ring", "--n=4", "--p=0.5", "-h"], None))
 def test_named_command_parses_as_the_whole_tree(case):
-    """Parsing with the named command's own parser, as `cli.main` does, gives
-    the tree's namespace, or its exit code and bytes; so does the same argv
-    with unknown arguments after it."""
+    """Parsing as `cli.main` does, from the command's option table or through
+    the tree, gives the tree's namespace, or its exit code and bytes; so does
+    the same argv with unknown arguments after it."""
     argv, _ = case
     for args in (argv, [*argv, "--bogus", "1"]):
         assert _parse_outcome(cli._parse_args, args) == _parse_outcome(
