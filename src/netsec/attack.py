@@ -111,17 +111,6 @@ def optimal_attack(q, docs, omega: float) -> AttackSolution | list[AttackSolutio
     return sols if q.ndim == 2 else sols[0]
 
 
-def breach_probabilities(a, q, reach) -> np.ndarray:
-    """Probability each agent i's document is stolen: sum_j reach[i, j] a_j (1 - q_j).
-
-    Also takes stacks: a and q of shape (B, n) with reach (B, n, n).
-    """
-    a = np.asarray(a, dtype=float)
-    q = _as_security(q)
-    reach = np.asarray(reach, dtype=float)
-    return (reach @ (a * (1.0 - q))[..., None])[..., 0]
-
-
 def expected_stolen(a, q, docs) -> float:
     """Expected number of stolen documents: sum_j a_j (1-q_j) docs_j."""
     a = np.asarray(a, dtype=float)

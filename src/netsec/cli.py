@@ -88,7 +88,7 @@ def _sample_count(text: str) -> int:
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(tok) for tok in text.split(",") if tok != ""])
+        return np.array([float(tok) for tok in text.split(",")])  # an empty field fails
     except ValueError:
         raise ValueError(f"expected comma-separated numbers, got {text!r}") from None
 
@@ -123,25 +123,21 @@ def _vt_closed_forms(g: Graph, args) -> bool:
     return True
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _chart(args, xs, series: dict, title: str) -> str | None:
+    """The SVG line chart when --svg asks for one."""
+    return render_line_chart(xs, series, title=title) if args.svg else None
 
 
-def _emit_svg(args, xs, series: dict, title: str) -> None:
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as handle:
-            handle.write(render_line_chart(xs, series, title=title))
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its CSV text and its SVG chart, or None
 # ---------------------------------------------------------------------------
 
-def _cmd_disseminate(args) -> str:
+def _cmd_disseminate(args) -> tuple[str, str | None]:
     g = _resolve_graph(args)
     diss = _resolve_dissemination(g, args.p, args)
     lines = ["i,j,P_ij"]
@@ -149,10 +145,10 @@ def _cmd_disseminate(args) -> str:
         lines.extend(f"{i},{j},{_fmt(x)}" for j, x in enumerate(row.tolist()))
     lines.append("i,D_i")
     lines.extend(f"{i},{_fmt(x)}" for i, x in enumerate(diss.expected_docs.tolist()))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", None
 
 
-def _cmd_attack(args) -> str:
+def _cmd_attack(args) -> tuple[str, str | None]:
     g = _resolve_graph(args)
     q = _parse_vector(args.q)
     if q.size != g.n:
@@ -165,7 +161,7 @@ def _cmd_attack(args) -> str:
     lines.append("lambda,n_star,active_set,payoff")
     active = ";".join(str(i) for i in sol.active)
     lines.append(f"{_fmt(sol.lam)},{sol.n_star},{active},{_fmt(payoff)}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", None
 
 
 def _equilibrium_q(g: Graph, diss, params: Params, regime: str, numeric: bool):
@@ -189,7 +185,7 @@ def _equilibrium_q(g: Graph, diss, params: Params, regime: str, numeric: bool):
     return game.evaluate_outcome(diss, params, q, regime)
 
 
-def _cmd_equilibrium(args) -> str:
+def _cmd_equilibrium(args) -> tuple[str, str | None]:
     g = _resolve_graph(args)
     params = Params(args.alpha, args.omega)
     diss = _resolve_dissemination(g, args.p, args)
@@ -206,7 +202,7 @@ def _cmd_equilibrium(args) -> str:
     else:
         lam, n_star = math.nan, g.n
     lines.append(f"{_fmt(outcome.welfare)},{_fmt(lam)},{n_star}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", None
 
 
 def _regime_profiles(g: Graph, grid, params: Params, args) -> np.ndarray:
@@ -249,7 +245,7 @@ def _regime_profiles(g: Graph, grid, params: Params, args) -> np.ndarray:
     return profiles
 
 
-def _cmd_sweep_investments(args) -> str:
+def _cmd_sweep_investments(args) -> tuple[str, str | None]:
     g = _resolve_graph(args)
     params = Params(args.alpha, args.omega)  # checks the costs before any grid point
     grid = _parse_grid(args.p_grid)
@@ -264,11 +260,10 @@ def _cmd_sweep_investments(args) -> str:
     lines = [",".join(["p", *tags])]
     lines.extend(",".join(_fmt(v) for v in vals) for vals in rows)
     series = dict(zip(tags, columns.T.tolist()))
-    _emit_svg(args, grid.tolist(), series, f"investments on {g.topology} n={g.n}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", _chart(args, grid.tolist(), series, f"investments on {g.topology} n={g.n}")
 
 
-def _cmd_sweep_documents(args) -> str:
+def _cmd_sweep_documents(args) -> tuple[str, str | None]:
     topologies = [t.strip() for t in args.topology.split(",")] if args.topology else VT_TOPOLOGIES
     grid = _parse_grid(args.p_grid)
     n = args.n
@@ -284,11 +279,10 @@ def _cmd_sweep_documents(args) -> str:
                 f"{topology},{n},{_fmt(p)}," + ",".join(_fmt(v) for v in docs)
             )
         series[topology] = [float(np.mean(docs)) for docs in docs_rows]
-    _emit_svg(args, list(grid), series, f"expected documents, n={n}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", _chart(args, list(grid), series, f"expected documents, n={n}")
 
 
-def _cmd_crossover(args) -> str:
+def _cmd_crossover(args) -> tuple[str, str | None]:
     g = _resolve_graph(args)
     n = g.n
     lines = ["agent_class,p_star"]
@@ -317,7 +311,7 @@ def _cmd_crossover(args) -> str:
     metrics.append(("p_half_coverage", p_for_half_coverage(g)))
     lines.append("metric,value")
     lines.extend(f"{name},{_fmt(value)}" for name, value in metrics)
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", None
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +432,15 @@ def _parse_args(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        _emit(args, args.func(args))
+        text, chart = args.func(args)
+        # Files first, CSV before chart, stdout last: a path that cannot be
+        # written leaves no chart after it and nothing on stdout.
+        if args.out:
+            _write(args.out, text)
+        if chart is not None:
+            _write(args.svg, chart)
+        if not args.out:
+            sys.stdout.write(text)
     except NonConvergenceError as exc:
         print(f"netsec: solver did not converge: {exc}", file=sys.stderr)
         return 3

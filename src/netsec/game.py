@@ -36,7 +36,6 @@ from .dissemination import (
     Params,
     _check_cost,
     _p_for_mean_docs,
-    star_docs,
     topology_docs,
 )
 from .graph import COMPLETE, RING
@@ -754,16 +753,6 @@ def social_optimum_numeric(
 # Over- vs under-investment crossover
 # ---------------------------------------------------------------------------
 
-def investment_gap(topology: str, n: int, p: float, alpha: float, omega: float) -> float:
-    """Equilibrium minus optimal investment at p (positive = over-investment)."""
-    if topology not in VT_TOPOLOGIES:
-        raise ValueError(
-            f"closed-form crossover needs a ring or complete topology, got {topology!r}"
-        )
-    d = float(topology_docs(topology, n, p)[0])
-    return float(nash_strategic_vt(d, n, alpha, omega)[0]) - d / (alpha * n)
-
-
 def find_crossover_p(
     topology: str,
     n: int,
@@ -788,10 +777,16 @@ def find_crossover_p(
         raise ValueError("tol must be positive")
     _check_cost("alpha", alpha)
     _check_cost("omega", omega)
+    if topology not in VT_TOPOLOGIES:
+        raise ValueError(
+            f"closed-form crossover needs a ring or complete topology, got {topology!r}"
+        )
     eps = 1e-9
 
     def gap(p):
-        return investment_gap(topology, n, p, alpha, omega)
+        """Equilibrium minus optimal investment at p (positive = over-investment)."""
+        d = float(topology_docs(topology, n, p)[0])
+        return float(nash_strategic_vt(d, n, alpha, omega)[0]) - d / (alpha * n)
 
     if not (gap(eps) > 0.0 > gap(1.0 - eps)):
         raise ValueError(
@@ -815,72 +810,3 @@ def find_crossover_p(
     # The smaller root as product / larger root, free of cancellation.
     d_lo = n * b / ((n + b) + float(np.hypot(n, b)))
     return p_star, {"condition_interval": (_p_for_mean_docs(topology, n, d_lo, tol), 1.0)}
-
-
-# ---------------------------------------------------------------------------
-# Star-graph strategies (uniform-attack vs sacrificial lamb)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StarUniformStrategy:
-    """Investments that equalize attack probabilities on a star."""
-
-    q_center: float
-    q_leaf: float
-    welfare: float
-    clamped: bool
-
-
-@dataclass(frozen=True)
-class StarLambStrategy:
-    """Minimal investments that steer the whole attack onto one bare leaf."""
-
-    feasible: bool
-    welfare_bound: float
-    q_center_min: float
-    q_leaf_min: float
-
-
-def star_uniform_attack_strategy(n: int, p: float, alpha: float) -> StarUniformStrategy:
-    """Best investments among those making the attack uniform on a star.
-
-    The a = 1/n attack requires (1-q_center) docs_center =
-    (1-q_leaf) docs_leaf; optimizing welfare along that line gives the
-    leaf level in closed form and the center level follows.  Values are
-    clamped to [0, 1] (flagged) if the formula exits the box; welfare is
-    evaluated at the uniform attack either way.
-    """
-    if n < 3:
-        raise ValueError(f"needs n >= 3, got {n}")
-    _check_cost("alpha", alpha)
-    hub, leaf = star_docs(n, p)
-    ratio = leaf / hub
-    q_leaf = (leaf / alpha - ratio + ratio**2) / (ratio**2 + n - 1)
-    clamped = not 0.0 <= q_leaf <= 1.0
-    q_leaf = min(1.0, max(0.0, q_leaf))
-    q_center = 1.0 - (1.0 - q_leaf) * ratio
-    stolen = ((1.0 - q_center) * hub + (n - 1) * (1.0 - q_leaf) * leaf) / n
-    welfare = n - stolen - 0.5 * alpha * (q_center**2 + (n - 1) * q_leaf**2)
-    return StarUniformStrategy(q_center, q_leaf, welfare, clamped)
-
-
-def star_sacrificial_lamb(n: int, p: float, alpha: float, omega: float) -> StarLambStrategy:
-    """Welfare bound for leaving one leaf unprotected to absorb the attack.
-
-    The attack concentrates on the bare leaf as long as q_leaf >=
-    omega / docs_leaf and q_center >= (omega + docs_center - docs_leaf) /
-    docs_center; both fit in [0, 1] exactly when omega <= docs_leaf.  The
-    bound evaluates welfare at those minimal levels.
-    """
-    if n < 3:
-        raise ValueError(f"needs n >= 3, got {n}")
-    _check_cost("alpha", alpha)
-    _check_cost("omega", omega)
-    hub, leaf = star_docs(n, p)
-    q_leaf_min = omega / leaf
-    q_center_min = (omega + hub - leaf) / hub
-    feasible = q_leaf_min <= 1.0 and q_center_min <= 1.0
-    bound = n - leaf - 0.5 * alpha * (
-        (1.0 - leaf / hub + omega / hub) ** 2 + (n - 2) * omega**2 / leaf**2
-    )
-    return StarLambStrategy(feasible, bound, q_center_min, q_leaf_min)

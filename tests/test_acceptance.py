@@ -37,11 +37,15 @@ from netsec.game import (
     social_optimum_numeric,
     social_optimum_random,
     social_optimum_strategic_vt,
+)
+from netsec.graph import build_topology, ring_graph
+from oracles import (
+    complete_connected_probability,
+    complete_pair_bounds,
+    kkt_residual,
     star_sacrificial_lamb,
     star_uniform_attack_strategy,
 )
-from netsec.graph import build_topology, ring_graph
-from oracles import complete_connected_probability, complete_pair_bounds, kkt_residual
 
 P_GRID = [round(0.1 * k, 1) for k in range(1, 10)]
 

@@ -5,13 +5,12 @@ from netsec.attack import (
     BOUNDARY_TOL,
     _water_fill,
     attacker_payoff,
-    breach_probabilities,
     expected_stolen,
     optimal_attack,
 )
 from netsec.dissemination import reach_closed_form, star_docs
 from netsec.graph import ring_graph, star_graph
-from oracles import kkt_residual, star_attack
+from oracles import breach_probabilities, kkt_residual, star_attack
 
 
 def simplex_grid_argmax(q, docs, omega, mesh=1e-3):

@@ -98,6 +98,7 @@ def test_attack_wrong_q_length_exits_2(capsys):
 
 
 _RING4_ATTACK = ("attack", "--topology", "ring", "--n", "4", "--p", "0.5")
+_RING3_ATTACK = ("attack", "--topology", "ring", "--n", "3", "--p", "0.5")
 _EQUILIBRIUM = ("equilibrium", "--regime", "nash-strategic", "--p", "0.5", "--n", "4")
 
 
@@ -108,6 +109,9 @@ _EQUILIBRIUM = ("equilibrium", "--regime", "nash-strategic", "--p", "0.5", "--n"
     (*_EQUILIBRIUM, "--topology", "star", "--alpha", "nan"),
     (*_EQUILIBRIUM, "--topology", "ring", "--alpha", "nan"),
     (*_EQUILIBRIUM, "--topology", "ring", "--omega", "inf"),
+    # Three numbers with an empty field: refused, not read as a 3-vector.
+    (*_RING3_ATTACK, "--q", "0.1,,0.2,0.3"),
+    (*_RING3_ATTACK, "--q", "0.1,0.2,0.3,"),
 ])
 def test_non_finite_numbers_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -786,6 +790,18 @@ def test_unwritable_output_path_exits_2_with_one_line(tmp_path, argv):
     assert done.returncode == 2
     assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("netsec: ")
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep-investments", "--topology", "ring", "--n", "4", "--p-grid", "0:1:3"),
+    ("sweep-documents", "--n", "4", "--p-grid", "0:1:3"),
+])
+def test_unwritable_out_leaves_no_svg(capsys, tmp_path, argv):
+    svg = tmp_path / "left.svg"
+    code, out, err = run_cli(capsys, *argv, "--svg", str(svg), "--out", str(tmp_path / "no-dir" / "x.csv"))
+    assert (code, out) == (2, "")
+    assert err.startswith("netsec: ") and len(err.splitlines()) == 1
+    assert not svg.exists()
 
 
 def test_number_formatting_12_digits(capsys):

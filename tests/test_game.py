@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from netsec import game
-from netsec.attack import _water_fill, breach_probabilities, optimal_attack
+from netsec.attack import _water_fill, optimal_attack
 from netsec.dissemination import (
     Dissemination,
     Params,
@@ -21,17 +21,20 @@ from netsec.game import (
     best_response_dynamics,
     evaluate_outcome,
     find_crossover_p,
-    investment_gap,
     nash_random,
     nash_strategic_vt,
     social_optimum_numeric,
     social_optimum_random,
     social_optimum_strategic_vt,
+)
+from netsec.graph import complete_graph, load_edge_list, ring_graph, star_graph
+from oracles import (
+    breach_probabilities,
+    complete_pair_bounds,
+    investment_gap,
     star_sacrificial_lamb,
     star_uniform_attack_strategy,
 )
-from netsec.graph import complete_graph, load_edge_list, ring_graph, star_graph
-from oracles import complete_pair_bounds
 
 P_GRID = [round(0.1 * k, 1) for k in range(1, 10)]
 
@@ -75,7 +78,9 @@ def test_social_optimum_random_rejects_documents_outside_one_to_n(docs):
 
 
 # Dissemination routes and closed forms that take p, and closed forms that
-# take a common document count d in [1, n], here with n = 5.
+# take a common document count d in [1, n], here with n = 5.  The last three
+# of BY_P are test oracles, which must meet the library's p check through
+# ring_docs and star_docs rather than compute on a p outside [0, 1].
 BY_P = {
     "reach_exact": lambda p: reach_exact(ring_graph(5), p),
     "reach_closed_form": lambda p: reach_closed_form(star_graph(5), p),
