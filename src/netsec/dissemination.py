@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .graph import COMPLETE, CUSTOM, RING, STAR, TOPOLOGIES, Graph
 
@@ -27,8 +28,8 @@ METHOD_MC = "mc"
 # Exact reach takes a recursion over vertex subsets (about 3**n steps) or
 # enumerates all 2**m edge subsets, whichever is cheaper.  With at most 12
 # agents a graph has at most 66 edges, and C(66, 33) < 2**63 keeps every
-# recursion count exact in int64.  Enumeration doubles with each edge and
-# takes about 8 s at 22.
+# count the recursion returns from its uint64 residues exact in int64.
+# Enumeration doubles with each edge and takes about 8 s at 22.
 MAX_EXACT_AGENTS = 12
 MAX_EXACT_EDGES = 22
 
@@ -43,8 +44,8 @@ _MC_DRAWS = 64 * _MC_CHUNK
 # Masks labelled per enumeration step; larger chunks buy little speed for
 # megabytes of peak memory.
 _ENUM_CHUNK = 2048
-# (S, T) pairs summed per recursion step; bounds the gathered counts at
-# _PAIR_CHUNK rows of at most 67 int64 values (66 edges).
+# (S, T) pairs summed per recursion step; bounds the gathered uint64
+# windows at _PAIR_CHUNK rows of at most 67 values (66 edges), 17.6 MB.
 _PAIR_CHUNK = 1 << 15
 # Rows of complete-graph recursion weights built at once: a few array ops
 # per block instead of per row, with memory linear in n.
@@ -180,7 +181,7 @@ def _edge_subset_counts(edges, n: int) -> np.ndarray:
 
 
 def _vertex_subset_counts(edges, n: int) -> np.ndarray:
-    """pair_counts by a recursion over vertex subsets, in exact int64.
+    """pair_counts by a recursion over vertex subsets, in the basis z = 1 + x.
 
     A row of counts by subset size is a polynomial in x.  For a vertex set
     S with e(S) edges inside it, C_S counts the edge subsets of the graph
@@ -190,22 +191,28 @@ def _vertex_subset_counts(edges, n: int) -> np.ndarray:
     agent, of C_T (1+x)**e(S - T) (Gilbert, Ann. Math. Statist. 1959).  The
     subsets of the whole graph in which S is a component number
     C_S (1+x)**e(V - S), and pair (i, j) sums them over every S holding
-    both.  Every term is nonnegative and part of a count no larger than
-    C(m, k), so nothing overflows.  Sets are bitmasks; S is handled by
-    size, about 3**n / 2 pairs (S, T) in all.
+    both.  Sets are bitmasks; S is handled by size, about 3**n / 2 pairs
+    (S, T) in all.
+
+    Written in z = 1 + x, every (1+x)**e is z**e, a shift.  Row S of
+    `conn` holds w = m + 1 zeros and then C_S's coefficients in z, so
+    window w - e of the row is C_T z**e and each layer is one gather and
+    sum.  The pairs are superset sums of C_S z**e(V - S) over S holding
+    both agents, one pass per agent, and Pascal's matrix takes them back
+    to the x basis.  Coefficients in z can be negative and large, so the
+    arithmetic is uint64, exact modulo 2**64; each final count is below
+    C(66, 33) < 2**63, so its residue is the count itself, read as int64.
     """
     m = len(edges)
+    w = m + 1
     sets = np.arange(1 << n)
     member = (sets[:, None] >> np.arange(n)) & 1
     size = member.sum(axis=1)
     edge_sets = np.array([(1 << u) | (1 << v) for u, v in edges])
     inner = ((sets[:, None] & edge_sets) == edge_sets).sum(axis=1)  # e(S)
-    binomial = np.zeros((m + 1, m + 1), dtype=np.int64)  # row d: (1+x)**d
-    binomial[0, 0] = 1
-    for d in range(m):
-        binomial[d + 1] = _times_one_plus_x(binomial[d])
-    conn = np.zeros((1 << n, m + 1), dtype=np.int64)
-    conn[1 << np.arange(n), 0] = 1
+    conn = np.zeros((1 << n, 2 * w), dtype=np.uint64)
+    conn[1 << np.arange(n), w] = 1
+    shifted = sliding_window_view(conn, w, axis=1)  # shifted[T, w - e] is C_T z**e
     for s in range(2, n + 1):
         layer = sets[size == s]
         # Each S's agents above its lowest, and the 2**(s-1) - 1 nonempty
@@ -217,49 +224,22 @@ def _vertex_subset_counts(edges, n: int) -> np.ndarray:
         for lo in range(0, layer.size, rows):
             whole = layer[lo : lo + rows]
             left_out = (1 << above[lo : lo + rows]) @ picks.T
-            split = _sum_times_binomial(
-                conn[:, :width], whole[:, None] ^ left_out, inner[left_out]
-            )
-            conn[whole, :width] = binomial[inner[whole], :width] - split
-    outside = inner[sets[-1] ^ sets]
-    spread = conn.copy()
-    for d in range(outside.max()):
-        grow = outside > d
-        spread[grow] = _times_one_plus_x(spread[grow])
-    pair_counts = np.zeros((n, n, m + 1), dtype=np.int64)
-    for i in range(n):
-        holds = member[:, i] == 1
-        pair_counts[i] = member[holds].T @ spread[holds]
-        pair_counts[i, i] = 0
+            total = -shifted[whole[:, None] ^ left_out, w - inner[left_out], :width].sum(axis=1)
+            total[np.arange(whole.size), inner[whole]] += 1  # z**e(S)
+            conn[whole, w : w + width] = total
+    joined = shifted[sets, w - inner[sets[-1] ^ sets]]  # C_S z**e(V - S)
+    for b in range(n):  # joined[U] becomes the sum over every S holding U
+        halves = joined.reshape(-1, 2, 1 << b, w)
+        halves[:, 0] += halves[:, 1]
+    pascal = np.zeros((w, w), dtype=np.uint64)  # row j: z**j in the x basis
+    pascal[:, 0] = 1
+    for j in range(1, w):
+        pascal[j, 1:] = pascal[j - 1, 1:] + pascal[j - 1, :-1]
+    iu, ju = np.triu_indices(n, 1)
+    counts = (joined[(1 << iu) | (1 << ju)] @ pascal).view(np.int64)
+    pair_counts = np.zeros((n, n, w), dtype=np.int64)
+    pair_counts[iu, ju] = pair_counts[ju, iu] = counts
     return pair_counts
-
-
-def _times_one_plus_x(poly: np.ndarray) -> np.ndarray:
-    """Each row times (1 + x); the top coefficient must be zero."""
-    out = poly.copy()
-    out[..., 1:] += poly[..., :-1]
-    return out
-
-
-def _sum_times_binomial(polys: np.ndarray, index: np.ndarray, power: np.ndarray) -> np.ndarray:
-    """Row r: the sum over c of polys[index[r, c]] * (1+x)**power[r, c].
-
-    Terms sharing a row and a power are added first; Horner's rule in
-    (1 + x) then takes one shifted add per power.  Powers must stay below
-    the polynomial width, and the products must fit in it.
-    """
-    rows, width = index.shape[0], polys.shape[1]
-    key = (np.arange(rows)[:, None] * width + power).ravel()
-    order = np.argsort(key)
-    key = key[order]
-    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    by_power = np.zeros((rows * width, width), dtype=np.int64)
-    by_power[key[first]] = np.add.reduceat(polys[index.ravel()[order]], first)
-    by_power = by_power.reshape(rows, width, width)
-    total = by_power[:, -1]
-    for d in range(width - 2, -1, -1):
-        total = _times_one_plus_x(total) + by_power[:, d]
-    return total
 
 
 def _subset_weights(m: int, p: float) -> np.ndarray:

@@ -3,13 +3,15 @@
 The attacker's KKT residual and the star's two-class attack check the
 water-filling solver; breach probabilities give each agent's reward from
 first principles; the complete-graph connectivity probability reads the
-recursion table behind `complete_pair_reach`, and the pair-reach envelope
-brackets it.  The investment gap is the function `find_crossover_p`
-bisects, and the paper's two star strategies (uniform attack and
-sacrificial lamb) bound the social optimum from below.
+recursion table behind `complete_pair_reach`, the pair-reach envelope
+brackets it, and the complete graph's pair counts by edge-subset size check
+the exact counting routes in Python integers.  The investment gap is the
+function `find_crossover_p` bisects, and the paper's two star strategies
+(uniform attack and sacrificial lamb) bound the social optimum from below.
 """
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -80,6 +82,37 @@ def complete_pair_bounds(n, p):
     lower = 1.0 - (1.0 - p) * (1.0 - p**2) ** (n - 2)
     upper = 1.0 - (1.0 - p) ** (n - 1)
     return lower, upper
+
+
+def complete_pair_counts(n):
+    """Number of k-edge subsets of K_n that join two given agents, for k = 0..C(n, 2).
+
+    In Python integers.  c[s][j] counts the connected j-edge graphs on s
+    labelled agents: of the C(C(s, 2), j) graphs, the disconnected ones
+    whose first agent's component has t < s agents and i edges number
+    C(s-1, t-1) c[t][i] C(C(s-t, 2), j-i).  The two agents' component has
+    s agents, chosen C(n-2, s-2) ways, and j edges; the other C(n-s, 2)
+    edges are free.
+    """
+    edges = comb(n, 2)
+    c = [[0] * (edges + 1) for _ in range(n + 1)]
+    c[1][0] = 1
+    for s in range(2, n + 1):
+        for j in range(comb(s, 2) + 1):
+            split = sum(
+                comb(s - 1, t - 1) * c[t][i] * comb(comb(s - t, 2), j - i)
+                for t in range(1, s)
+                for i in range(min(j, comb(t, 2)) + 1)
+            )
+            c[s][j] = comb(comb(s, 2), j) - split
+    return [
+        sum(
+            comb(n - 2, s - 2) * c[s][j] * comb(comb(n - s, 2), k - j)
+            for s in range(2, n + 1)
+            for j in range(min(k, comb(s, 2)) + 1)
+        )
+        for k in range(edges + 1)
+    ]
 
 
 @dataclass(frozen=True)

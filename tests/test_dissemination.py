@@ -24,7 +24,7 @@ from netsec.dissemination import (
     topology_docs,
 )
 from netsec.graph import complete_graph, load_edge_list, ring_graph, star_graph
-from oracles import complete_connected_probability, complete_pair_bounds
+from oracles import complete_connected_probability, complete_pair_bounds, complete_pair_counts
 from reed_frost import complete_reach_oracle
 
 P_GRID = [round(0.1 * k, 1) for k in range(1, 10)]
@@ -215,6 +215,38 @@ def test_vertex_recursion_equals_edge_enumeration():
         recursion = diss_mod._vertex_subset_counts(edges, n)
         assert recursion.dtype == np.int64
         assert np.array_equal(recursion, diss_mod._edge_subset_counts(edges, n)), (n, edges)
+
+
+def test_complete_pair_counts_oracle_matches_enumeration():
+    edges = tuple(itertools.combinations(range(6), 2))
+    counts = diss_mod._edge_subset_counts(edges, 6)
+    assert counts[0, 1].tolist() == complete_pair_counts(6)
+
+
+def test_vertex_recursion_exact_at_int64_limit():
+    # K_12's 66 edges are the recursion's largest case; its largest count,
+    # at 33 edges, is above 2**62.
+    n = MAX_EXACT_AGENTS
+    edges = tuple(itertools.combinations(range(n), 2))
+    assert diss_mod._exact_counter(n, len(edges)) is diss_mod._vertex_subset_counts
+    counts = diss_mod._vertex_subset_counts(edges, n)
+    expected = complete_pair_counts(n)
+    assert max(expected) > 2**62
+    assert counts.dtype == np.int64
+    off = ~np.eye(n, dtype=bool)
+    assert counts[off].tolist() == [expected] * (n * (n - 1))
+    assert not counts[~off].any()
+
+
+def test_vertex_recursion_invariant_to_pair_chunk(monkeypatch):
+    # One S per chunk, a few S per chunk, and whole layers: the same counts.
+    n, edges = 10, random_connected_edges(random.Random(10), 10, 25)
+    assert diss_mod._exact_counter(n, len(edges)) is diss_mod._vertex_subset_counts
+    results = []
+    for chunk in (1, 64, diss_mod._PAIR_CHUNK):
+        monkeypatch.setattr(diss_mod, "_PAIR_CHUNK", chunk)
+        results.append(diss_mod._vertex_subset_counts(edges, n))
+    assert all(np.array_equal(results[-1], counts) for counts in results[:-1])
 
 
 @pytest.mark.parametrize("n", [9, 10])
