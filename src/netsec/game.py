@@ -650,69 +650,50 @@ def _newton_direction(grad, free, active, docs, alpha, omega):
     return m_grad + m_u * shift[:, None]
 
 
-_SLOTS = np.arange(8)  # line-search steps a row may try in one round
-_HALVINGS = 0.5**_SLOTS
-
-
 def _ascend(q, docs, alpha, omega, tol, max_iter):
     """Projected Newton ascent of welfare from q for each row of a stack,
     as `social_optimum_numeric` describes it: each row's last iterate,
-    (B, n), and its NonConvergenceError or None.  Each round evaluates all
-    running rows' trials in one kernel call, so every row takes the path,
-    and gets the bytes, it would alone."""
-    rows, n = q.shape
+    (B, n), and its NonConvergenceError or None.  Each iteration takes the
+    live rows' Newton directions at once and halves one shared step from
+    1; each halving evaluates the rows still searching in one kernel call,
+    so every row takes the path, and gets the bytes, it would alone."""
+    rows, q = len(q), q.copy()
     ref_step = 1.0 / (alpha + 2.0 * docs.max(axis=1) ** 2 / omega)
     value, grad, active = _welfare_and_gradient(q, docs, alpha, omega)
-    last, last_residual, taken = np.empty((rows, n)), np.empty(rows), np.zeros(rows, dtype=int)
-    # The stack keeps the rows still running; `ids` maps them back.
-    ids, iters, fresh = np.arange(rows), np.zeros(rows, dtype=int), np.ones(rows, dtype=bool)
-    direction, step, width = np.zeros((rows, n)), np.ones(rows), np.ones(rows)
-    while True:
-        # Rows at a new iterate test their residual; a row whose step has
-        # shrunk to nothing found no step that passes the Armijo test.
-        residual = np.abs(np.clip(q + ref_step[:, None] * grad, 0.0, 1.0) - q).max(axis=1) / ref_step
-        done = (step <= 1e-16) | (fresh & ((residual <= tol) | (iters >= max_iter)))
-        if done.any():
-            out = ids[done]
-            last[out], last_residual[out], taken[out] = q[done], residual[done], iters[done]
-            state = ids, q, value, grad, active, direction, step, width, iters, fresh, docs, ref_step
-            ids, q, value, grad, active, direction, step, width, iters, fresh, docs, ref_step = (
-                x[~done] for x in state
-            )
-            if not ids.size:
-                break
-        if fresh.any():  # the others take a Newton direction and start from step 1
-            blocked = ((q <= 0.0) & (grad < 0.0)) | ((q >= 1.0) & (grad > 0.0))
-            new = _newton_direction(grad, ~blocked, active, docs, alpha, omega)
-            direction = np.where(fresh[:, None], new, direction)
-            step[fresh] = 1.0
-        # Each row tries its next `width` halvings at once, as many as its
-        # last line search needed, and takes the first that passes.
-        steps = step[:, None] * _HALVINGS
-        use = (steps > 1e-16) & (_SLOTS < width[:, None])
-        tried = use.sum(axis=1)  # a prefix of each row's slots
-        trials = np.clip(q[:, None] + steps[..., None] * direction[:, None], 0.0, 1.0)
-        t_q = trials[use]
-        t_value, t_grad, t_active = _welfare_and_gradient(
-            t_q, docs.repeat(tried, axis=0), alpha, omega
-        )
-        welfare = np.full(use.shape, -np.inf)
-        welfare[use] = t_value
-        rise = np.matmul((trials - q[:, None])[:, :, None, :], grad[:, None, :, None])
-        passes = welfare >= value[:, None] + 1e-4 * rise[..., 0, 0]
-        fresh, slot = passes.any(axis=1), passes.argmax(axis=1)
-        pick, moved = np.cumsum(tried) - tried + slot, fresh[:, None]
-        q, grad = np.where(moved, t_q[pick], q), np.where(moved, t_grad[pick], grad)
-        active, value = np.where(moved, t_active[pick], active), np.where(fresh, t_value[pick], value)
-        iters += fresh
-        width = np.where(fresh, np.minimum(slot + 1 - np.log2(step), _SLOTS.size), width)
-        step = np.where(fresh, step, step * 0.5**tried)
-    return last, [
+    residual, iters = np.empty(rows), np.zeros(rows, dtype=int)
+    live, stalled = np.arange(rows), np.zeros(rows, dtype=bool)
+    while live.size:
+        x, g, ref = q[live], grad[live], ref_step[live]
+        residual[live] = np.abs(np.clip(x + ref[:, None] * g, 0.0, 1.0) - x).max(axis=1) / ref
+        going = (residual[live] > tol) & (iters[live] < max_iter)
+        live, x, g = live[going], x[going], g[going]
+        blocked = ((x <= 0.0) & (g < 0.0)) | ((x >= 1.0) & (g > 0.0))
+        direction = _newton_direction(g, ~blocked, active[live], docs[live], alpha, omega)
+        search, step = live, 1.0
+        while search.size and step > 1e-16:
+            x = q[search]
+            ahead = x + step * direction
+            trial = np.clip(ahead, 0.0, 1.0)
+            t_value, t_grad, t_active = _welfare_and_gradient(trial, docs[search], alpha, omega)
+            # Unclipped in q's own region a trial gains exactly, however
+            # little the rounded welfare shows it, so it passes untested.
+            same = (trial == ahead).all(axis=1) & (t_active == active[search]).all(axis=1)
+            passes = same | (t_value >= value[search] + 1e-4 * _row_dot(trial - x, grad[search]))
+            moved = search[passes]
+            q[moved], value[moved] = trial[passes], t_value[passes]
+            grad[moved], active[moved] = t_grad[passes], t_active[passes]
+            iters[moved] += 1
+            search, direction, step = search[~passes], direction[~passes], 0.5 * step
+        stalled[search] = True  # no halving passed the Armijo test
+        live = live[~stalled[live]]
+    return q, [
         None if r <= tol else NonConvergenceError(
-            f"projected Newton ascent did not converge within {max_iter} iterations "
-            f"(stationarity residual {r:.3e})", last_q=x.copy(), residual=r, iterations=i,
+            (f"projected Newton ascent stopped at iteration {i + 1}: no step along the "
+             "Newton direction passes the Armijo test" if stop else
+             f"projected Newton ascent did not converge within {max_iter} iterations")
+            + f" (stationarity residual {r:.3e})", last_q=x.copy(), residual=r, iterations=i,
         )
-        for x, r, i in zip(last, last_residual.tolist(), taken.tolist())
+        for x, r, i, stop in zip(q, residual.tolist(), iters.tolist(), stalled.tolist())
     ]
 
 
@@ -728,11 +709,14 @@ def social_optimum_numeric(
     direction of the current active-set region's quadratic on the
     coordinates not held at a bound of [0, 1]^n, and halves the step from 1
     until the box-projected trial passes the Armijo test W(trial) >= W(q) +
-    1e-4 g'(trial - q) (Bertsekas, SIAM J. Control Optim. 1982).  It
+    1e-4 g'(trial - q) (Bertsekas, SIAM J. Control Optim. 1982), or needs
+    no clipping and keeps q's active set: on that convex region W is the
+    quadratic the direction maximizes, so a step t <= 1 gains t (1 - t/2) g'd
+    even where rounding hides it, as near the optimum at large alpha.  It
     converges once the stationarity residual |clip(q + s g) - q|_max / s, s
     a fixed reference step, is <= tol.  NonConvergenceError, carrying the
-    last iterate, its residual and its iterations, is raised past max_iter
-    iterations or when no step passes the test.
+    last iterate, its residual and its iterations, says whether max_iter
+    iterations ran out or, at which iteration, no halving down to 1e-16 passed.
 
     Within one attacker active set the welfare is a concave quadratic, but
     it kinks upward where the set changes, so local optima can exist.  One

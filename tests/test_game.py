@@ -972,30 +972,33 @@ def test_social_optimum_star5_sweep_kernel_budget(monkeypatch):
 
 def _sequential_optimum(diss, alpha, omega, q0, tol=1e-8, max_iter=20_000):
     """Oracle: the projected Newton ascent from q0 one trial step at a
-    time, through one-row calls of the solver's kernels; the last iterate
-    and whether it converged."""
+    time, through one-row calls of the solver's kernels; the last iterate,
+    its iterations and how it ended: "converged", "stopped" when no step
+    passed the line search, or "max_iter"."""
     docs = diss.expected_docs[None]
     ref_step = 1.0 / (alpha + 2.0 * float(docs.max()) ** 2 / omega)
     q = q0[None]
     value, grad, active = game._welfare_and_gradient(q, docs, alpha, omega)
     for iteration in range(max_iter + 1):
         if np.abs(np.clip(q + ref_step * grad, 0.0, 1.0) - q).max() / ref_step <= tol:
-            return q[0], True
+            return q[0], iteration, "converged"
         if iteration == max_iter:
-            break
+            return q[0], iteration, "max_iter"
         blocked = ((q <= 0.0) & (grad < 0.0)) | ((q >= 1.0) & (grad > 0.0))
         direction = game._newton_direction(grad, ~blocked, active, docs, alpha, omega)
         step = 1.0
         while step > 1e-16:
             trial = np.clip(q + step * direction, 0.0, 1.0)
             evaluated = game._welfare_and_gradient(trial, docs, alpha, omega)
+            # An unclipped trial with q's active set passes untested.
+            if (trial == q + step * direction).all() and (evaluated[2] == active).all():
+                break
             if evaluated[0][0] >= value[0] + 1e-4 * float(grad[0] @ (trial - q)[0]):
                 break
             step *= 0.5
         else:
-            break
+            return q[0], iteration, "stopped"
         q, (value, grad, active) = trial, evaluated
-    return q[0], False
 
 
 @pytest.mark.parametrize("g, p, diss_of, alpha, omega", [
@@ -1006,34 +1009,92 @@ def _sequential_optimum(diss, alpha, omega, q0, tol=1e-8, max_iter=20_000):
     (load_edge_list(FIVE_NODE), 0.3, reach_exact, 2.0, 3.0),
     (star_graph(60), 0.5, reach_closed_form, 1.0, 1.0),  # line searches of up to 8 steps
     (star_graph(20), 0.8, reach_closed_form, 1.0, 1.0),
+    (star_graph(60), np.linspace(0.0, 1.0, 101), reach_closed_form, 1.0, 1.0),
+    (load_edge_list(SIX_NODE), 0.3, reach_exact, 1e6, 1.0),  # steps taken untested
 ])
 def test_stacked_line_search_matches_one_step_at_a_time(g, p, diss_of, alpha, omega):
-    # Rows try several halvings of their step in one round and take the
-    # first that passes, which is the step a one-at-a-time search accepts.
-    # Each start row gets the iterate and verdict it gets alone.
-    diss = diss_of(g, p)
-    starts = np.vstack([np.full(g.n, 0.5), np.random.default_rng(3).random((5, g.n))])
-    docs = np.tile(diss.expected_docs, (len(starts), 1))
-    last, errors = game._ascend(starts, docs, alpha, omega, 1e-8, 20_000)
-    for q0, q, error in zip(starts, last, errors):
-        expected, converged = _sequential_optimum(diss, alpha, omega, q0)
-        assert q.tobytes() == expected.tobytes()
-        assert (error is None) == converged
+    # Rows halve one shared step and each takes the first that passes,
+    # which is the step a one-at-a-time search accepts, so each start row
+    # gets the iterate, iterations and verdict it gets alone, also when
+    # max_iter cuts it short.  One point runs from the uniform start and
+    # five seeded ones; a p grid runs from the uniform start at every
+    # point, so its rows finish at different iterations.
+    disses = [diss_of(g, x) for x in np.atleast_1d(p)]
+    starts = np.full((len(disses), g.n), 0.5)
+    if len(disses) == 1:
+        disses *= 6
+        starts = np.vstack([starts, np.random.default_rng(3).random((5, g.n))])
+    docs = np.array([diss.expected_docs for diss in disses])
+    for max_iter in (1, 2, 20_000):
+        last, errors = game._ascend(starts, docs, alpha, omega, 1e-8, max_iter)
+        for diss, q0, q, error in zip(disses, starts, last, errors):
+            expected, iterations, verdict = _sequential_optimum(diss, alpha, omega, q0, max_iter=max_iter)
+            assert q.tobytes() == expected.tobytes()
+            if error is None:
+                assert verdict == "converged"
+            else:  # only a cap stops a row; the full budget converges
+                assert verdict == "max_iter" and error.iterations == iterations == max_iter < 3
+                assert str(error).startswith(
+                    f"projected Newton ascent did not converge within {max_iter} iterations "
+                )
 
 
-def test_ascent_tries_several_halvings_in_one_round(monkeypatch):
-    # A row whose last line search took t trials tries t halvings at once.
-    # From the uniform start the 60-star at p = 0.5 (a case above) does so.
+def test_social_optimum_at_large_alpha():
+    # Near the optimum at large alpha, the Armijo test compares two welfare
+    # values near n that differ by less than their rounding.  A step that
+    # stays unclipped in q's active-set region gains on the region's
+    # quadratic in exact arithmetic, so it is taken without the test.  On
+    # the star at p = 1 every agent expects n documents, so the closed form
+    # applies: q_i = 1 / alpha.
+    diss = _closed_diss(star_graph(5), 1.0)
+    out = social_optimum_numeric(diss, Params(1e9, 1.0))
+    expected = social_optimum_strategic_vt(diss.expected_docs, alpha=1e9)
+    np.testing.assert_allclose(out.q, expected, rtol=1e-12, atol=0.0)
+    rng = np.random.default_rng(7)
+    grid = np.linspace(0.0, 1.0, 11)
+    for _ in range(6):
+        g = _random_connected_graph(rng, int(rng.integers(4, 9)))
+        disses = [reach_exact(g, p) for p in grid]
+        for alpha in (1e4, 1e5, 1e6):
+            outs = social_optimum_numeric(disses, Params(alpha, 1.0), max_iter=300)
+            for diss, out in zip(disses, outs):
+                docs = diss.expected_docs
+                ref_step = 1.0 / (alpha + 2.0 * docs.max() ** 2)
+                grad = game._welfare_and_gradient(out.q[None], docs[None], alpha, 1.0)[1][0]
+                assert np.abs(np.clip(out.q + ref_step * grad, 0.0, 1.0) - out.q).max() / ref_step <= 1e-8
+
+
+def test_ascent_names_the_iteration_its_line_search_failed(monkeypatch):
+    # On this star the first iteration takes its step at t = 1/2, after
+    # the start and two trials.  Every later trial loses welfare and claims
+    # an empty active set, so all 54 halvings of the second iteration's
+    # step fail.  The error names that iteration and keeps the first
+    # step's iterate and its stationarity residual.
     real = game._welfare_and_gradient
-    sizes = []
+    calls = []
 
-    def recording(q, docs, alpha, omega):
-        sizes.append(len(q))
-        return real(q, docs, alpha, omega)
+    def worse(q, docs, alpha, omega):
+        value, grad, active = real(q, docs, alpha, omega)
+        calls.append(len(q))
+        return (value - 1.0, grad, np.zeros_like(active)) if len(calls) > 3 else (value, grad, active)
 
-    monkeypatch.setattr(game, "_welfare_and_gradient", recording)
-    social_optimum_numeric(_closed_diss(star_graph(60), 0.5), Params())
-    assert max(sizes) > 1
+    monkeypatch.setattr(game, "_welfare_and_gradient", worse)
+    diss = _closed_diss(star_graph(10), 0.5)
+    with pytest.raises(NonConvergenceError) as err:
+        social_optimum_numeric(diss, Params())
+    assert len(calls) == 3 + 54
+    calls.clear()
+    q, iterations, verdict = _sequential_optimum(diss, 1.0, 1.0, np.full(10, 0.5))
+    assert (iterations, verdict, len(calls)) == (1, "stopped", 3 + 54)
+    assert err.value.last_q.tobytes() == q.tobytes() and err.value.iterations == 1
+    assert str(err.value) == (
+        "projected Newton ascent stopped at iteration 2: no step along the Newton "
+        f"direction passes the Armijo test (stationarity residual {err.value.residual:.3e})"
+    )
+    calls.clear()
+    with pytest.raises(NonConvergenceError, match="within 1 iterations") as capped:
+        social_optimum_numeric(diss, Params(), max_iter=1)
+    assert capped.value.residual == err.value.residual
 
 
 def _solve_optima(disses, alpha=1.0, omega=1.0, **options):
