@@ -31,7 +31,6 @@ from .game import (
     nash_strategic_vt,
     social_optimum_numeric,
     social_optimum_random,
-    social_optimum_strategic_vt,
 )
 from .graph import (
     Graph,
@@ -74,7 +73,6 @@ __all__ = [
     "ring_pair_reach",
     "social_optimum_numeric",
     "social_optimum_random",
-    "social_optimum_strategic_vt",
     "star_docs",
     "star_graph",
     "topology_docs",

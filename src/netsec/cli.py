@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -128,9 +129,29 @@ def _chart(args, xs, series: dict, title: str) -> str | None:
     return render_line_chart(xs, series, title=title) if args.svg else None
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+def _write_files(files) -> None:
+    """Write each (path, text) beside its path under a temporary name, and
+    rename each over its path once all are written, so a file that cannot
+    be written leaves every path as it was and no temporary file.  A rename
+    would replace a device or pipe, so those are written in place."""
+    staged = []  # (temporary file, or the device itself; the file it replaces)
+    try:
+        for path, text in files:
+            in_place = os.path.exists(path) and not os.path.isfile(path)  # a device or pipe
+            target = path if in_place else os.path.realpath(path)  # a link's file, not the link
+            temp = target if in_place else f"{target}.{os.getpid()}-{len(staged)}.tmp"
+            with open(temp, "w", encoding="utf-8") as handle:
+                staged.append((temp, target))
+                handle.write(text)
+        for temp, target in staged:
+            if temp != target:
+                os.replace(temp, target)
+    except OSError as exc:  # name the path asked for, not a temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        for temp, target in staged:
+            if temp != target and os.path.exists(temp):  # not renamed, as a later file failed
+                os.remove(temp)
 
 
 # ---------------------------------------------------------------------------
@@ -165,23 +186,22 @@ def _cmd_attack(args) -> tuple[str, str | None]:
 
 
 def _equilibrium_q(g: Graph, diss, params: Params, regime: str, numeric: bool):
-    """The regime's GameOutcome: the iterative solver's own, or that of a closed form."""
+    """The regime's GameOutcome: the iterative solver's own, or a closed form's, which ring and
+    complete graphs take at their mean docs unless --numeric or Monte Carlo docs ask for solvers."""
     docs = diss.expected_docs
-    n = g.n
+    closed = g.topology in VT_TOPOLOGIES and not numeric and diss.method != METHOD_MC
     if regime == game.NASH_RANDOM:
-        q = game.nash_random(n, params.alpha)
+        q = game.nash_random(g.n, params.alpha)
     elif regime == game.OPT_RANDOM:
         q = game.social_optimum_random(docs, params.alpha)
-    # Monte Carlo docs on a ring or complete graph are never exactly equal.
-    elif g.topology in VT_TOPOLOGIES and not numeric and game._is_homogeneous(docs):
-        if regime == game.NASH_STRATEGIC:
-            q = game.nash_strategic_vt(docs, n, params.alpha, params.omega)
-        else:
-            q = game.social_optimum_strategic_vt(docs, n, params.alpha)
-    elif regime == game.NASH_STRATEGIC:
+    elif not closed and regime == game.NASH_STRATEGIC:
         return game.best_response_dynamics(diss, params)
-    else:
+    elif not closed:
         return game.social_optimum_numeric(diss, params)
+    elif regime == game.NASH_STRATEGIC:
+        q = game.nash_strategic_vt(docs.mean(), g.n, params.alpha, params.omega)
+    else:
+        q = game.social_optimum_random(np.full(g.n, docs.mean()), params.alpha)
     return game.evaluate_outcome(diss, params, q, regime)
 
 
@@ -209,8 +229,9 @@ def _regime_profiles(g: Graph, grid, params: Params, args) -> np.ndarray:
     """Investments under the command's costs `params`, shape (points, 4,
     agents), regimes in game.REGIMES order.
 
-    Ring and complete graphs take the closed forms at the scalar d = docs[0]
-    (averaging the row can move the last bit).  Other graphs are solved in
+    Ring and complete graphs take the closed forms, the equilibrium at the
+    scalar d = docs[0] (averaging the row can move the last bit) and the
+    strategic optimum as the random one.  Other graphs are solved in
     grid order, in blocks whose stacked reach matrices fit in
     _SWEEP_BLOCK_BYTES, with one stacked equilibrium and one stacked optimum
     call per block.  A failure names its p: the lowest failing point's, the
@@ -222,9 +243,8 @@ def _regime_profiles(g: Graph, grid, params: Params, args) -> np.ndarray:
     if _vt_closed_forms(g, args):
         for profile, p in zip(profiles, grid):
             docs = topology_docs(g.topology, n, p)
-            profile[1] = game.social_optimum_random(docs, params.alpha)
+            profile[1] = profile[3] = game.social_optimum_random(docs, params.alpha)
             profile[2] = game.nash_strategic_vt(docs[0], n, params.alpha, params.omega)
-            profile[3] = game.social_optimum_strategic_vt(docs[0], n, params.alpha)
         return profiles
     block = max(1, _SWEEP_BLOCK_BYTES // (8 * n * n))
     for first in range(0, len(grid), block):
@@ -288,12 +308,9 @@ def _cmd_crossover(args) -> tuple[str, str | None]:
     lines = ["agent_class,p_star"]
     metrics = []
     if _vt_closed_forms(g, args):
-        p_star, info = game.find_crossover_p(
-            g.topology, n, args.alpha, args.omega, details=True
-        )
+        p_star, p_from = game.find_crossover_p(g.topology, n, args.alpha, args.omega)
         lines.append(f"all,{_fmt(p_star)}")
-        lo, hi = info["condition_interval"]
-        metrics = [("strengthen_from", lo), ("strengthen_to", hi)]
+        metrics = [("strengthen_from", p_from), ("strengthen_to", 1.0)]
     elif g.topology == STAR:
         grid = _parse_grid(args.p_grid)
         profiles = _regime_profiles(g, grid, Params(args.alpha, args.omega), args)
@@ -433,12 +450,12 @@ def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         text, chart = args.func(args)
-        # Files first, CSV before chart, stdout last: a path that cannot be
-        # written leaves no chart after it and nothing on stdout.
-        if args.out:
-            _write(args.out, text)
+        # Files first, stdout last: a path that cannot be written leaves no
+        # file and nothing on stdout.
+        files = [(args.out, text)] if args.out else []
         if chart is not None:
-            _write(args.svg, chart)
+            files.append((args.svg, chart))
+        _write_files(files)
         if not args.out:
             sys.stdout.write(text)
     except NonConvergenceError as exc:

@@ -482,40 +482,35 @@ def disseminate(
 # Coverage threshold
 # ---------------------------------------------------------------------------
 
-def _p_for_mean_docs(topology: str, n: int, target: float, tolerance: float) -> float:
-    """Bisect the closed-form mean documents, strictly increasing in p, for `target`.
-
-    Returns 0 when p = 0 already reaches the target within `tolerance`.
-    """
-    if not tolerance > 0:  # NaN fails too
-        raise ValueError("tolerance must be positive")
-
-    def mean_docs(p):
-        return float(topology_docs(topology, n, p).mean())
-
-    if mean_docs(0.0) >= target - tolerance:
+def _bisect_p(f, tolerance: float, name: str = "tolerance") -> float:
+    """Where f, negative up to one sign change on [0, 1] and >= 0 past it,
+    changes sign: 0 when f(0) >= 0, else the midpoint of a bracket lo < hi
+    with f(lo) < 0 <= f(hi), no wider than `tolerance` (argument `name`)."""
+    if not tolerance > 0:  # NaN fails too; 0 would never stop
+        raise ValueError(f"{name} must be positive")
+    if f(0.0) >= 0.0:
         return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
+    lo, mid, hi = 0.0, 0.5, 1.0
+    while hi - lo > tolerance and lo < mid < hi:  # or adjacent floats
+        lo, hi = (mid, hi) if f(mid) < 0.0 else (lo, mid)
         mid = 0.5 * (lo + hi)
-        val = mean_docs(mid)
-        if abs(val - target) <= tolerance:
-            return mid
-        if val < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return mid
+
+
+def _p_for_mean_docs(topology: str, n: int, target: float, tolerance: float) -> float:
+    """The p where the closed-form mean documents, strictly increasing in
+    p, reach `target`, to within `tolerance` in p; 0 when p = 0 does."""
+    return _bisect_p(lambda p: float(topology_docs(topology, n, p).mean()) - target, tolerance)
 
 
 def p_for_half_coverage(g: Graph, tolerance: float = 1e-9) -> float:
     """Transmission probability at which mean expected documents hit n/2.
 
-    Inverts the closed-form mean with `_p_for_mean_docs`, the same
-    bisection that places the lower end of the crossover condition
-    interval.  On the (non-homogeneous) star this targets the mean over
-    agents; per-class thresholds differ and are not what this reports.
-    At n = 2 one document is already half of n, so this returns 0.
+    Inverts the closed-form mean with `_p_for_mean_docs`, to within
+    `tolerance` in p, by the bisection that also places the crossover.  On
+    the (non-homogeneous) star this targets the mean over agents;
+    per-class thresholds differ and are not what this reports.  At n = 2
+    one document is already half of n, so this returns 0.
     """
     if g.topology not in TOPOLOGIES:
         raise ValueError(f"closed-form topologies only, got {g.topology!r}")

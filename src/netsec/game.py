@@ -34,6 +34,7 @@ from .attack import (
 from .dissemination import (
     Dissemination,
     Params,
+    _bisect_p,
     _check_cost,
     _p_for_mean_docs,
     topology_docs,
@@ -50,7 +51,6 @@ REGIMES = (NASH_RANDOM, OPT_RANDOM, NASH_STRATEGIC, OPT_STRATEGIC)
 # Vertex-transitive families: every agent expects the same documents.
 VT_TOPOLOGIES = (RING, COMPLETE)
 
-_HOMOGENEITY_TOL = 1e-9
 _ANDERSON_WINDOW = 4  # sweeps kept for extrapolation in the fallback sweeps
 
 
@@ -140,51 +140,15 @@ def social_optimum_random(docs, alpha: float) -> np.ndarray:
     return docs / (alpha * docs.size)
 
 
-def _is_homogeneous(docs) -> bool:
-    """Whether all agents expect the same document count, so the
-    vertex-transitive closed forms apply."""
-    return bool(np.ptp(docs) <= _HOMOGENEITY_TOL)
-
-
-def _homogeneous_docs(docs, n: int | None) -> tuple[float, int]:
-    """The document count d in [1, n] that every agent expects, and n."""
-    arr = np.atleast_1d(np.asarray(docs, dtype=float))
-    if n is None:
-        if arr.size == 1:
-            raise ValueError("n is required when docs is a scalar")
-        n = arr.size
-    elif arr.size > 1 and n != arr.size:
-        raise ValueError(f"docs has length {arr.size} but n={n}")
-    _as_docs(docs, n)
-    if not _is_homogeneous(arr):
-        raise ValueError(
-            "expected-document entries differ; this closed form only "
-            "applies when all agents expect the same count"
-        )
-    return float(arr.mean()), n
-
-
-def social_optimum_strategic_vt(docs, n: int | None = None, alpha: float = 1.0) -> np.ndarray:
-    """Social optimum against a strategic attack on a vertex-transitive network.
-
-    Equals the random-attack optimum docs / (alpha n): the optimal uniform
-    investments make the attack probabilities uniform, voiding the
-    attacker's strategic edge.
-    """
-    d, n = _homogeneous_docs(docs, n)
-    _check_cost("alpha", alpha)
-    return np.full(n, d / (alpha * n))
-
-
-def nash_strategic_vt(
-    docs, n: int | None = None, alpha: float = 1.0, omega: float = 1.0
-) -> np.ndarray:
+def nash_strategic_vt(d: float, n: int, alpha: float = 1.0, omega: float = 1.0) -> np.ndarray:
     """Equilibrium against a strategic attack on a vertex-transitive network.
 
     q_i = ((n - d) d + omega) / ((n - d) d + alpha n omega) with d the
-    common expected-document count.
+    document count every agent expects.  The social optimum there is
+    `social_optimum_random`: the optimal uniform investments make the
+    attack probabilities uniform, voiding the attacker's strategic edge.
     """
-    d, n = _homogeneous_docs(docs, n)
+    d = _as_docs(d, n).item()  # one count, not a vector
     _check_cost("alpha", alpha)
     _check_cost("omega", omega)
     spread = (n - d) * d
@@ -265,7 +229,8 @@ def _best_response(agent, q, docs, reach_i, alpha, omega, walk, jacobian=False):
     # reward - 1 = -(held + weight lam0) / omega - lin y - quad y^2
     #              - alpha (1 - y)^2 / 2 within region m.
     lin = (r * lam0 - weight * d / k) / omega
-    quad = r * d * m / (k * omega)
+    with np.errstate(over="ignore"):  # k omega past the float range: quad -> 0, its limit
+        quad = r * d * m / (k * omega)
     # An empty region (y_lo > y_hi) clips to y_hi; for region 0 that is
     # y = 1, the answer q_i = 0 when every region is empty.
     y_opt = (alpha - lin) / (alpha + 2.0 * quad)
@@ -293,7 +258,8 @@ def _best_response(agent, q, docs, reach_i, alpha, omega, walk, jacobian=False):
     interior = moves & ~top & ~low
     d_s = docs.take(order)
     ratio = d_s / d
-    scale = k[mc] * omega * (alpha + 2.0 * quad.take(pick))
+    with np.errstate(over="ignore"):  # scale past the float range: inner -> 0, its limit
+        scale = k[mc] * omega * (alpha + 2.0 * quad.take(pick))
     inner = (r * d_s + d * reach_i.take(order)) / scale[:, None]
     bound = ratio * np.where(low & ~bottom, 1.0 / m_floor[mc], -1.0)[:, None]
     slope = np.where(interior[:, None], inner, bound)
@@ -737,60 +703,34 @@ def social_optimum_numeric(
 # Over- vs under-investment crossover
 # ---------------------------------------------------------------------------
 
-def find_crossover_p(
-    topology: str,
-    n: int,
-    alpha: float,
-    omega: float,
-    tol: float = 1e-10,
-    details: bool = False,
-):
-    """Transmission probability where equilibrium investments are optimal.
+def find_crossover_p(topology: str, n: int, alpha: float, omega: float, tol: float = 1e-10):
+    """Transmission probability where equilibrium investments are optimal,
+    and where the sufficient condition for one crossover starts to hold:
+    (p_star, p_from), each to within `tol`.
 
     The root is unique: with d = D(p) rising from 1 to n, the gap has the sign
     of h(d) = d (n - d)(alpha n - d) - alpha n omega (d - 1), a cubic with a
     positive leading term, h(1) > 0 and h(n) < 0, so one root lies in (1, n).
-    Bisects the gap on (0, 1) to `tol` after checking it is positive near 0
-    and negative near 1.  With details=True also returns the exact interval
-    where the sufficient condition for one crossover,
-    2 (n - d) d >= (n - 2 d)(alpha n - 1), holds: d lies between the roots of
+    p_star bisects h(D(p)) / (alpha n omega) on [0, 1], which no cost can
+    overflow.  The condition 2 (n - d) d >= (n - 2 d)(alpha n - 1) holds
+    exactly on (p_from, 1]: d lies between the roots of
     2 d^2 - 2 (n + alpha n - 1) d + n (alpha n - 1), the upper one is >= n,
-    so the interval is (D^-1(d_lo), 1), with 0 as its lower end when d_lo <= 1.
+    so p_from = D^-1(d_lo), or 0 when d_lo <= 1.
     """
-    if not tol > 0:  # NaN fails too
-        raise ValueError("tol must be positive")
     _check_cost("alpha", alpha)
     _check_cost("omega", omega)
     if topology not in VT_TOPOLOGIES:
         raise ValueError(
             f"closed-form crossover needs a ring or complete topology, got {topology!r}"
         )
-    eps = 1e-9
 
-    def gap(p):
-        """Equilibrium minus optimal investment at p (positive = over-investment)."""
+    def under_investment(p):  # -h(D(p)) / (alpha n omega), < 0 while equilibrium over-invests
         d = float(topology_docs(topology, n, p)[0])
-        return float(nash_strategic_vt(d, n, alpha, omega)[0]) - d / (alpha * n)
+        return (d - 1.0) - d * (n - d) * (1.0 - d / n / alpha) / omega
 
-    if not (gap(eps) > 0.0 > gap(1.0 - eps)):
-        raise ValueError(
-            "no over-to-under-investment sign change on (0, 1); "
-            f"gap({eps})={gap(eps):.3e}, gap(1-{eps})={gap(1.0 - eps):.3e}"
-        )
-    lo, hi = eps, 1.0 - eps
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = gap(mid)
-        if f_mid == 0.0:
-            lo = hi = mid
-        elif f_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    p_star = 0.5 * (lo + hi)
-    if not details:
-        return p_star
-    b = alpha * n - 1.0
-    # The smaller root as product / larger root, free of cancellation.
-    d_lo = n * b / ((n + b) + float(np.hypot(n, b)))
-    return p_star, {"condition_interval": (_p_for_mean_docs(topology, n, d_lo, tol), 1.0)}
+    p_star = _bisect_p(under_investment, tol, "tol")
+    # d_lo = n b / ((n + b) + hypot(n, b)), b = alpha n - 1: the smaller root as product /
+    # larger root, free of cancellation, with n and b divided by alpha so none overflows.
+    n_a, b_a = n / alpha, n - 1.0 / alpha
+    d_lo = n * b_a / ((n_a + b_a) + float(np.hypot(n_a, b_a)))
+    return p_star, _p_for_mean_docs(topology, n, d_lo, tol)

@@ -5,12 +5,15 @@ water-filling solver; breach probabilities give each agent's reward from
 first principles; the complete-graph connectivity probability reads the
 recursion table behind `complete_pair_reach`, the pair-reach envelope
 brackets it, and the complete graph's pair counts by edge-subset size check
-the exact counting routes in Python integers.  The investment gap is the
-function `find_crossover_p` bisects, and the paper's two star strategies
-(uniform attack and sacrificial lamb) bound the social optimum from below.
+the exact counting routes in Python integers.  The investment gap between
+the equilibrium and the optimum on ring and complete graphs has the sign of
+the cubic h(D(p)) that `find_crossover_p` bisects, here in exact rationals,
+and the paper's two star strategies (uniform attack and sacrificial lamb)
+bound the social optimum from below.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -65,6 +68,15 @@ def investment_gap(topology, n, p, alpha, omega):
     (positive = over-investment)."""
     d = float(topology_docs(topology, n, p)[0])
     return float(nash_strategic_vt(d, n, alpha, omega)[0]) - d / (alpha * n)
+
+
+def crossover_cubic(topology, n, p, alpha, omega):
+    """h(D(p)) = d (n - d)(alpha n - d) - alpha n omega (d - 1) on a ring or
+    complete graph, which has the sign of `investment_gap`, at the float
+    d = D(p) in exact rational arithmetic, so no cost overflows it."""
+    d = Fraction(float(topology_docs(topology, n, p)[0]))
+    a, w = Fraction(alpha), Fraction(omega)
+    return d * (n - d) * (a * n - d) - a * n * w * (d - 1)
 
 
 def complete_connected_probability(k, p):

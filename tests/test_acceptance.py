@@ -36,7 +36,6 @@ from netsec.game import (
     nash_strategic_vt,
     social_optimum_numeric,
     social_optimum_random,
-    social_optimum_strategic_vt,
 )
 from netsec.graph import build_topology, ring_graph
 from oracles import (
@@ -223,13 +222,12 @@ def test_criterion_6_closed_form_equilibria():
                     d = ring_docs(n, p)
                     q = nash_strategic_vt(d, n, alpha, omega)[0]
                     assert q == ((n - d) * d + omega) / ((n - d) * d + alpha * n * omega)
-                assert social_optimum_strategic_vt(d, n, alpha)[0] == d / (alpha * n)
+                assert social_optimum_random(np.full(n, d), alpha)[0] == d / (alpha * n)
     # n=5, alpha=omega=1, p=1: exact endpoint values
     for d_at_one in (ring_docs(5, 1.0), complete_docs(5, 1.0)):
         assert d_at_one == 5.0
         assert nash_strategic_vt(d_at_one, 5, 1.0, 1.0)[0] == 0.2
         assert nash_random(5, 1.0)[0] == 0.2
-        assert social_optimum_strategic_vt(d_at_one, 5, 1.0)[0] == 1.0
         assert social_optimum_random(np.full(5, d_at_one), 1.0)[0] == 1.0
 
 
@@ -242,10 +240,11 @@ def test_criterion_7_iterative_vs_closed_form():
             diss = reach_closed_form(g, p)
             params = Params()
             nash = best_response_dynamics(diss, params)
-            expected_nash = nash_strategic_vt(diss.expected_docs, 5, 1.0, 1.0)
+            expected_nash = nash_strategic_vt(diss.expected_docs.mean(), 5, 1.0, 1.0)
             assert np.abs(nash.q - expected_nash).max() <= 1e-5
+            # The strategic optimum is the random one on these graphs.
             opt = social_optimum_numeric(diss, params)
-            expected_opt = social_optimum_strategic_vt(diss.expected_docs, alpha=1.0)
+            expected_opt = social_optimum_random(diss.expected_docs, 1.0)
             assert np.abs(opt.q - expected_opt).max() <= 1e-5
     assert time.perf_counter() - start < 60.0
 
@@ -297,7 +296,7 @@ def test_criterion_8_figure_reproduction(tmp_path):
         assert (q_ns >= q_nr - 1e-6).all(), agent_class
         assert _sign_changes(q_ns - q_os, noise=1e-6) == 1, agent_class
 
-    assert find_crossover_p("complete", 5, 1.0, 1.0) < find_crossover_p("ring", 5, 1.0, 1.0)
+    assert find_crossover_p("complete", 5, 1.0, 1.0)[0] < find_crossover_p("ring", 5, 1.0, 1.0)[0]
     assert time.perf_counter() - start < 120.0
 
 
@@ -337,14 +336,15 @@ def test_criterion_10_property_suites():
                     continue
                 assert (sol.a[i] < sol.a[j]) == (q[i] > q[j])
 
-    for docs_of in (ring_docs, complete_docs):
+    for topology in ("ring", "complete"):
         n = 5
-        for p in fine[1:-1]:
-            d = docs_of(n, p)
+        disses = [reach_closed_form(build_topology(topology, n), p) for p in fine[1:-1]]
+        optima = social_optimum_numeric(disses, Params())
+        for p, diss, opt in zip(fine[1:-1], disses, optima):
+            d = float(topology_docs(topology, n, p)[0])
             q_nr = nash_random(n, 1.0)[0]
             q_or = social_optimum_random(np.full(n, d), 1.0)[0]
             q_ns = nash_strategic_vt(d, n, 1.0, 1.0)[0]
-            q_os = social_optimum_strategic_vt(d, n, 1.0)[0]
-            assert q_or == q_os
+            assert np.abs(opt.q - social_optimum_random(diss.expected_docs, 1.0)).max() <= 1e-5
             assert q_nr < q_ns
             assert q_nr < q_or

@@ -2,6 +2,7 @@ import argparse
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,7 +281,7 @@ def test_crossover_matches_library(capsys):
     _, out, _ = run_cli(capsys, "crossover", "--topology", "ring", "--n", "5")
     p_star_cli = float(parse_csv_block(out)[1].split(",")[1])
     assert p_star_cli == pytest.approx(
-        game.find_crossover_p("ring", 5, 1.0, 1.0), abs=1e-9
+        game.find_crossover_p("ring", 5, 1.0, 1.0)[0], abs=1e-9
     )
 
 
@@ -507,8 +508,8 @@ def test_grid_step_count_out_of_range_exits_2(capsys, monkeypatch, argv):
     ("opt-strategic", game.social_optimum_numeric),
 ])
 def test_strategic_equilibrium_on_monte_carlo_ring_uses_iterative_solver(capsys, regime, solver):
-    # Monte Carlo docs on a ring are not exactly equal, so the
-    # vertex-transitive closed forms do not apply.
+    # Monte Carlo docs on a ring are estimates, not the common count the
+    # vertex-transitive closed forms take, so the iterative solvers run.
     code, out, err = run_cli(
         capsys, "equilibrium", "--topology", "ring", "--n", "5", "--p", "0.5",
         "--regime", regime, "--method", "mc", "--samples", "1000",
@@ -519,6 +520,46 @@ def test_strategic_equilibrium_on_monte_carlo_ring_uses_iterative_solver(capsys,
     expected = solver(diss, Params()).q
     rows = [line.split(",") for line in parse_csv_block(out)[1:6]]
     assert [row[1] for row in rows] == [cli._fmt(x) for x in expected]
+
+
+@pytest.mark.parametrize("topology", ["ring", "complete"])
+@pytest.mark.parametrize("regime", ["nash-strategic", "opt-strategic"])
+@pytest.mark.parametrize("options, closed", [
+    ((), True),
+    (("--method", "closed"), True),
+    (("--method", "exact"), True),
+    (("--method", "mc", "--samples", "200"), False),
+    (("--numeric",), False),
+    (("--method", "exact", "--numeric"), False),
+])
+def test_equilibrium_chooses_closed_forms_or_solvers(capsys, monkeypatch, topology, regime, options, closed):
+    # Ring and complete graphs take the closed forms unless Monte Carlo docs
+    # or --numeric ask for the iterative solvers; the strategic optimum's
+    # closed form is the random optimum.
+    calls = []
+
+    def spy(name):
+        real = getattr(game, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("nash_strategic_vt", "social_optimum_random", "best_response_dynamics",
+                 "social_optimum_numeric"):
+        monkeypatch.setattr(game, name, spy(name))
+    code, _, err = run_cli(capsys, "equilibrium", "--regime", regime, "--topology", topology,
+                           "--n", "5", "--p", "0.4", *options)
+    assert (code, err) == (0, "")
+    expected = {
+        ("nash-strategic", True): "nash_strategic_vt",
+        ("opt-strategic", True): "social_optimum_random",
+        ("nash-strategic", False): "best_response_dynamics",
+        ("opt-strategic", False): "social_optimum_numeric",
+    }
+    assert calls == [expected[regime, closed]]
 
 
 CLOSED_FORM_COMMANDS = [
@@ -606,7 +647,7 @@ def test_closed_form_profiles_hold_each_regime_in_order(topology, n):
             game.NASH_RANDOM: game.nash_random(n, 1.3),
             game.OPT_RANDOM: game.social_optimum_random(docs, 1.3),
             game.NASH_STRATEGIC: game.nash_strategic_vt(d, n, 1.3, 2.0),
-            game.OPT_STRATEGIC: game.social_optimum_strategic_vt(d, n, 1.3),
+            game.OPT_STRATEGIC: game.social_optimum_random(docs, 1.3),
         }
         assert profile.tobytes() == np.array([expected[r] for r in game.REGIMES]).tobytes()
 
@@ -802,6 +843,73 @@ def test_unwritable_out_leaves_no_svg(capsys, tmp_path, argv):
     assert (code, out) == (2, "")
     assert err.startswith("netsec: ") and len(err.splitlines()) == 1
     assert not svg.exists()
+
+
+@pytest.mark.parametrize("topology", ["ring", "complete"])
+@pytest.mark.parametrize("alpha, omega", [
+    ("1", "1e6"), ("1", "1e12"), ("1", "1e300"), ("1e9", "1"), ("1e308", "1e308"),
+])
+def test_crossover_at_large_costs_exits_0(topology, alpha, omega):
+    # In a fresh interpreter with every RuntimeWarning an error, as a user
+    # runs it: no cost may overflow on the way to the root.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "netsec.cli", "crossover",
+         "--topology", topology, "--n", "5", "--alpha", alpha, "--omega", omega],
+        env=env, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    p_star = float(parse_csv_block(done.stdout)[1].split(",")[1])
+    expected, _ = game.find_crossover_p(topology, 5, float(alpha), float(omega))
+    assert p_star == pytest.approx(expected, abs=1e-12)
+    if float(omega) >= 1e12:
+        assert p_star <= 1e-9
+
+
+@pytest.mark.parametrize("bad", ["--out", "--svg"])
+def test_a_file_that_cannot_be_written_leaves_no_other(capsys, tmp_path, bad):
+    # Both files are written under temporary names first, so an unwritable
+    # --svg leaves no CSV, an unwritable --out no SVG, and neither leaves a
+    # temporary file behind.
+    paths = {"--out": tmp_path / "x.csv", "--svg": tmp_path / "x.svg"}
+    paths[bad] = tmp_path / "no-dir" / "x"
+    code, out, err = run_cli(capsys, "sweep-investments", "--topology", "ring", "--n", "4",
+                             "--p-grid", "0:1:3", "--out", str(paths["--out"]),
+                             "--svg", str(paths["--svg"]))
+    assert (code, out) == (2, "")
+    assert err == f"netsec: [Errno 2] No such file or directory: '{paths[bad]}'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_written_files_replace_their_targets_with_plain_open_modes(capsys, tmp_path):
+    (tmp_path / "x.csv").write_text("old", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "sweep-investments", "--topology", "ring", "--n", "4",
+                           "--p-grid", "0:1:3", "--out", str(tmp_path / "x.csv"),
+                           "--svg", str(tmp_path / "x.svg"))
+    assert (code, out) == (0, "")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["x.csv", "x.svg"]
+    assert (tmp_path / "x.csv").read_text(encoding="utf-8").startswith("p,q_NR,q_OR,q_NS,q_OS\n")
+    with open(tmp_path / "plain", "w", encoding="utf-8"):
+        pass
+    mode = (tmp_path / "plain").stat().st_mode
+    assert (tmp_path / "x.csv").stat().st_mode == mode == (tmp_path / "x.svg").stat().st_mode
+
+
+def test_a_device_is_written_in_place_and_a_link_through(capsys, tmp_path):
+    # A rename would replace a device with a regular file; through a link,
+    # such a rename would replace the link, which this checks safely.  A
+    # link to a file keeps pointing at it, and the file gets the text.
+    null, link = tmp_path / "null", tmp_path / "link.svg"
+    null.symlink_to(os.devnull)
+    (tmp_path / "data").mkdir()
+    link.symlink_to(tmp_path / "data" / "x.svg")
+    code, out, _ = run_cli(capsys, "sweep-investments", "--topology", "ring", "--n", "4",
+                           "--p-grid", "0:1:3", "--out", str(null), "--svg", str(link))
+    assert (code, out) == (0, "")
+    assert null.is_symlink() and null.resolve() == Path(os.devnull).resolve()
+    assert link.is_symlink() and link.read_text(encoding="utf-8").startswith("<svg")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["data", "link.svg", "null"]
+    assert [path.name for path in (tmp_path / "data").iterdir()] == ["x.svg"]
 
 
 def test_number_formatting_12_digits(capsys):

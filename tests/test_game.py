@@ -25,12 +25,12 @@ from netsec.game import (
     nash_strategic_vt,
     social_optimum_numeric,
     social_optimum_random,
-    social_optimum_strategic_vt,
 )
 from netsec.graph import complete_graph, load_edge_list, ring_graph, star_graph
 from oracles import (
     breach_probabilities,
     complete_pair_bounds,
+    crossover_cubic,
     investment_gap,
     star_sacrificial_lamb,
     star_uniform_attack_strategy,
@@ -77,9 +77,9 @@ def test_social_optimum_random_rejects_documents_outside_one_to_n(docs):
         social_optimum_random(docs, 1.0)
 
 
-# Dissemination routes and closed forms that take p, and closed forms that
-# take a common document count d in [1, n], here with n = 5.  The last three
-# of BY_P are test oracles, which must meet the library's p check through
+# Dissemination routes and closed forms that take p, and the closed form
+# that takes a common document count d in [1, n], here with n = 5.  The last
+# four of BY_P are test oracles, which must meet the library's p check through
 # ring_docs and star_docs rather than compute on a p outside [0, 1].
 BY_P = {
     "reach_exact": lambda p: reach_exact(ring_graph(5), p),
@@ -90,14 +90,11 @@ BY_P = {
     "ring_pair_reach": lambda p: ring_pair_reach(5, p, 2),
     "ring_pair_reach_self": lambda p: ring_pair_reach(5, p, 0),
     "investment_gap": lambda p: investment_gap("ring", 5, p, 1.0, 1.0),
+    "crossover_cubic": lambda p: crossover_cubic("ring", 5, p, 1.0, 1.0),
     "star_sacrificial_lamb": lambda p: star_sacrificial_lamb(5, p, 1.0, 1.0),
     "star_uniform_attack_strategy": lambda p: star_uniform_attack_strategy(5, p, 1.0),
 }
-BY_DOCS = {
-    "nash_strategic_vt": lambda d: nash_strategic_vt(d, 5),
-    "nash_strategic_vt_vector": lambda d: nash_strategic_vt(np.full(5, d)),
-    "social_optimum_strategic_vt": lambda d: social_optimum_strategic_vt(d, 5),
-}
+BY_DOCS = {"nash_strategic_vt": lambda d: nash_strategic_vt(d, 5)}
 
 
 @pytest.mark.parametrize("call, value, message", [
@@ -125,23 +122,21 @@ def test_social_optimum_random_complete_large_p():
 
 
 def test_strategic_optimum_equals_random_optimum_on_vt():
+    # The optimal uniform investments make the attack uniform, so the
+    # attacker's strategic edge is void and the random optimum is optimal.
     for n in (4, 5):
-        for p in P_GRID:
-            for d in (ring_docs(n, p), complete_docs(n, p)):
-                np.testing.assert_array_equal(
-                    social_optimum_strategic_vt(d, n, 1.0),
-                    social_optimum_random(np.full(n, d), 1.0),
-                )
+        for build in (ring_graph, complete_graph):
+            disses = [reach_closed_form(build(n), p) for p in P_GRID]
+            for diss, out in zip(disses, social_optimum_numeric(disses, Params())):
+                expected = social_optimum_random(diss.expected_docs, 1.0)
+                assert np.abs(out.q - expected).max() < 1e-5
 
 
 def test_strategic_optimum_p_one():
-    assert social_optimum_strategic_vt(5.0, 5, 1.0)[0] == 1.0
-    assert social_optimum_strategic_vt(5.0, 5, 2.0)[0] == 0.5
-
-
-def test_strategic_optimum_rejects_heterogeneous_docs():
-    with pytest.raises(ValueError, match="homogeneous|same count"):
-        social_optimum_strategic_vt(np.array([2.0, 2.1, 2.0]), alpha=1.0)
+    # Every agent holds every document: q_i = n / (alpha n) = 1 / alpha.
+    for alpha, expected in ((1.0, 1.0), (2.0, 0.5)):
+        out = social_optimum_numeric(reach_closed_form(ring_graph(5), 1.0), Params(alpha, 1.0))
+        np.testing.assert_allclose(out.q, expected, rtol=1e-9, atol=0.0)
 
 
 def test_nash_strategic_endpoints():
@@ -194,8 +189,6 @@ def test_investment_ordering_chain():
             q_nr = nash_random(n, alpha)[0]
             q_or = social_optimum_random(np.full(n, d), alpha)[0]
             q_ns = nash_strategic_vt(d, n, alpha, omega)[0]
-            q_os = social_optimum_strategic_vt(d, n, alpha)[0]
-            assert q_or == q_os  # attack type does not move the optimum
             assert q_nr < q_ns  # strict for p < 1
             assert q_nr < q_or  # strict for p > 0
 
@@ -214,7 +207,7 @@ def test_brd_matches_closed_form(build):
     diss = _closed_diss(g, 0.5)
     params = Params()
     out = best_response_dynamics(diss, params, q0=np.full(5, 0.5))
-    expected = nash_strategic_vt(diss.expected_docs, 5, 1.0, 1.0)
+    expected = nash_strategic_vt(diss.expected_docs.mean(), 5, 1.0, 1.0)
     assert np.abs(out.q - expected).max() < 1e-6
     assert out.regime == "nash-strategic"
 
@@ -818,7 +811,7 @@ def test_social_optimum_numeric_matches_closed_form(build):
     for p in (0.2, 0.5, 0.8):
         diss = _closed_diss(g, p)
         out = social_optimum_numeric(diss, Params())
-        expected = social_optimum_strategic_vt(diss.expected_docs, alpha=1.0)
+        expected = social_optimum_random(diss.expected_docs, 1.0)
         assert np.abs(out.q - expected).max() < 1e-5
         expected_welfare = 5 - (1 - expected[0]) * diss.expected_docs[0] - 2.5 * expected[0] ** 2
         assert abs(out.welfare - expected_welfare) < 1e-8
@@ -1048,7 +1041,7 @@ def test_social_optimum_at_large_alpha():
     # applies: q_i = 1 / alpha.
     diss = _closed_diss(star_graph(5), 1.0)
     out = social_optimum_numeric(diss, Params(1e9, 1.0))
-    expected = social_optimum_strategic_vt(diss.expected_docs, alpha=1e9)
+    expected = social_optimum_random(diss.expected_docs, 1e9)
     np.testing.assert_allclose(out.q, expected, rtol=1e-12, atol=0.0)
     rng = np.random.default_rng(7)
     grid = np.linspace(0.0, 1.0, 11)
@@ -1269,21 +1262,37 @@ def test_gap_signs_at_extremes():
 
 
 def test_crossover_root_is_a_sign_change():
-    p_star = find_crossover_p("complete", 5, 1.0, 1.0, tol=1e-12)
+    p_star, _ = find_crossover_p("complete", 5, 1.0, 1.0, tol=1e-12)
     assert investment_gap("complete", 5, p_star - 1e-6, 1.0, 1.0) > 0
     assert investment_gap("complete", 5, p_star + 1e-6, 1.0, 1.0) < 0
 
 
 def test_crossover_earlier_on_denser_graph():
-    p_complete = find_crossover_p("complete", 5, 1.0, 1.0)
-    p_ring = find_crossover_p("ring", 5, 1.0, 1.0)
+    p_complete, _ = find_crossover_p("complete", 5, 1.0, 1.0)
+    p_ring, _ = find_crossover_p("ring", 5, 1.0, 1.0)
     assert p_complete < p_ring
 
 
 def test_crossover_details():
-    p_star, info = find_crossover_p("ring", 5, 1.0, 1.0, details=True)
-    lo, hi = info["condition_interval"]
-    assert lo < p_star < hi
+    # Where the sufficient condition for one crossover starts to hold.
+    p_star, p_from = find_crossover_p("ring", 5, 1.0, 1.0)
+    assert 0.0 < p_from < p_star < 1.0
+
+
+@pytest.mark.parametrize("topology", ["ring", "complete"])
+@pytest.mark.parametrize("alpha, omega", [
+    (1.0, 1e6), (1.0, 1e12), (1.0, 1e300), (1e9, 1.0), (1e308, 1e308),
+])
+def test_crossover_at_large_costs(topology, alpha, omega):
+    # Bisecting the gap itself found no sign change on [1e-9, 1 - 1e-9]
+    # once omega pushed the root below 1e-9, and at alpha = omega = 1e308
+    # alpha n omega overflowed; the cubic h(D(p)) changes sign on [0, 1]
+    # whatever the costs.
+    tol = 1e-10
+    p_star, p_from = find_crossover_p(topology, 5, alpha, omega, tol)
+    assert 0.0 <= p_star <= 1.0 and 0.0 <= p_from <= 1.0
+    assert crossover_cubic(topology, 5, max(p_star - tol, 0.0), alpha, omega) >= 0
+    assert crossover_cubic(topology, 5, min(p_star + tol, 1.0), alpha, omega) <= 0
 
 
 def test_crossover_is_the_only_sign_change():
@@ -1304,7 +1313,7 @@ def test_crossover_is_the_only_sign_change():
         gaps = np.array([investment_gap(topology, n, p, alpha, omega) for p in grid])
         assert gaps[0] > 0.0 > gaps[-1]
         (k,) = np.nonzero(np.diff(np.sign(gaps)))[0]
-        assert grid[k] <= find_crossover_p(topology, n, alpha, omega) <= grid[k + 1]
+        assert grid[k] <= find_crossover_p(topology, n, alpha, omega)[0] <= grid[k + 1]
 
     check()
 
@@ -1334,9 +1343,7 @@ def unique_crossover_condition(d, n, alpha):
 @pytest.mark.parametrize("n", [3, 4, 5, 10, 30])
 @pytest.mark.parametrize("alpha", [1.0, 2.0])
 def test_condition_interval_is_exact(topology, docs, n, alpha):
-    _, info = find_crossover_p(topology, n, alpha, 1.0, details=True)
-    lo, hi = info["condition_interval"]
-    assert hi == 1.0
+    _, lo = find_crossover_p(topology, n, alpha, 1.0)
     if lo > 0.0:
         assert not unique_crossover_condition(docs(n, lo - 1e-6), n, alpha)
     for p in np.linspace(lo + 1e-6, 1.0, 101):
