@@ -255,10 +255,14 @@ def _nash_gap(q, diss):
 
 
 # Plain cyclic best-response sweeps cycle on both (periods of 12 and 8
-# sweeps).  Accelerated sweeps still cycle on SIX_NODE at p = 0.825 and
-# 0.85, and certify an equilibrium on FIVE_NODE at p = 0.6413.
+# sweeps).  No Newton start certifies SIX_NODE at p = 0.7, 0.825 or 0.85,
+# and the accelerated sweeps cycle there; Newton from q = 1, the fourth
+# start, certifies an equilibrium on FIVE_NODE at p = 0.6413.
 SIX_NODE = "0 1\n1 2\n2 3\n3 4\n1 4\n0 5\n"
 FIVE_NODE = "0 1\n1 2\n1 3\n1 4\n2 3\n2 4\n"
+# With alpha = 3 and omega = 2 no Newton start certifies this tree at
+# p = 0.9; the accelerated sweeps do, where plain sweeps cycle.
+EIGHT_NODE = "0 1\n0 2\n1 3\n1 4\n1 5\n1 7\n3 6\n"
 
 
 def _grid_rewards(i, q, docs, reach, alpha, omega, grid):
@@ -299,7 +303,7 @@ def test_brd_refuses_non_equilibrium():
     # Rewards are not concave in q_i, so BRD can settle or cycle where some
     # agent still gains by deviating alone; that is exit 3, not an answer
     # (test_cli.py::test_strategic_non_equilibria_exit_3).  On this graph
-    # the accelerated sweeps certify a profile, so it must be one: no agent
+    # Newton from q = 1 certifies a profile, so it must be one: no agent
     # gains by moving alone to any point of a fine grid.
     g = load_edge_list(FIVE_NODE)
     p = 0.6413
@@ -389,18 +393,24 @@ def test_brd_newton_budget(monkeypatch):
 
 
 def test_brd_sweep_budget(monkeypatch):
-    # Newton's line search fails on the 60-star at these p, so the points
-    # take the sweeps.  Plain cyclic sweeps need 109 at p = 0.3;
-    # extrapolating over the last sweeps certifies in under 30.
+    # No Newton start certifies EIGHT_NODE at p = 0.9, so the point takes
+    # the sweeps.  Plain cyclic sweeps cycle there; extrapolating over the
+    # last sweeps certifies it in under 30.
     agents = _record_kernel_agents(monkeypatch)
-    g = star_graph(60)
-    best_response_dynamics(_closed_diss(g, 0.3), Params())
-    assert 0 < sum(np.ndim(a) == 0 for a in agents) <= 30 * g.n
-    # A stack of points shares each call, so the budget holds for it too.
+    diss = reach_exact(load_edge_list(EIGHT_NODE), 0.9)
+    best_response_dynamics(diss, Params(3.0, 2.0))
+    assert 0 < sum(np.ndim(a) == 0 for a in agents) <= 30 * diss.n
+    # The points of a stack share each sweep's calls, so the stack makes as
+    # many as its slowest point alone.  No start certifies these either.
+    disses = [_closed_diss(star_graph(40), p) for p in (0.42, 0.46, 0.55)]
+    alone = []
+    for diss in disses:
+        agents.clear()
+        best_response_dynamics(diss, Params(2.0, 3.0))
+        alone.append(sum(np.ndim(a) == 0 for a in agents))
     agents.clear()
-    ps = (0.1, 0.2, 0.3)
-    best_response_dynamics([_closed_diss(g, p) for p in ps], Params())
-    assert 0 < sum(np.ndim(a) == 0 for a in agents) <= 30 * g.n
+    best_response_dynamics(disses, Params(2.0, 3.0))
+    assert 0 < min(alone) and sum(np.ndim(a) == 0 for a in agents) == max(alone)
 
 
 def _star_oracle(n, p):
@@ -434,42 +444,69 @@ def _star_oracle(n, p):
     return profile(centre, leaf_level(centre)), diss
 
 
-@pytest.mark.parametrize("p", [0.5, 0.9])
-@pytest.mark.parametrize("n", [5, 20, 40, 60, 80, 120])
+@pytest.mark.parametrize(
+    "n, p", [(n, p) for p in (0.3, 0.5, 0.9) for n in (5, 20, 40, 60, 80, 120)] + [(60, 0.99)]
+)
 def test_brd_certifies_star_equilibria(n, p):
     # Plain cyclic sweeps took 107, 394 and 935 sweeps on the 20-, 40- and
-    # 60-stars at p = 0.9 and stalled on the 120-star.
+    # 60-stars at p = 0.9 and stalled on the 120-star.  At p = 0.3 Newton's
+    # line search fails from the uniform start on the 40- to 120-stars, and
+    # the closed-form start certifies them; q = 0 certifies the 60-star at
+    # p = 0.99.
     oracle, diss = _star_oracle(n, p)
     assert _nash_gap(oracle, diss) <= 1e-8
     out = best_response_dynamics(diss, Params())
     assert np.abs(out.q - oracle).max() <= 1e-7
 
 
-@pytest.mark.parametrize("n", [160, 240, 300])
-def test_brd_certifies_large_star_equilibria(n):
+@pytest.mark.parametrize(
+    "n, p", [(160, 0.9), (240, 0.9), (300, 0.9), (300, 0.3)], ids=["160", "240", "300", "300-0.3"]
+)
+def test_brd_certifies_large_star_equilibria(n, p):
     # Accelerated sweeps took about 300 sweeps on the 160-star and ran out
-    # of sweeps on the 240- and 300-stars; Newton lands on the equilibrium.
-    oracle, diss = _star_oracle(n, 0.9)
+    # of sweeps on the 240- and 300-stars at p = 0.9; Newton lands on the
+    # equilibrium, from the closed-form start at p = 0.3.
+    oracle, diss = _star_oracle(n, p)
     assert _nash_gap(oracle, diss) <= 1e-8
     out = best_response_dynamics(diss, Params())
     assert np.abs(out.q - oracle).max() <= 1e-12
 
 
-def test_brd_falls_back_to_plain_sweeps_after_a_cycle():
-    # Extrapolated sweeps cycle on this graph at p = 0.7; plain sweeps from
-    # the repeated profile certify an equilibrium.
-    g = load_edge_list("0 1\n0 6\n1 2\n1 5\n1 6\n2 3\n3 4\n3 5\n4 5\n4 6\n5 6\n")
-    diss = reach_exact(g, 0.7)
+def test_brd_falls_back_to_plain_sweeps_after_a_cycle(monkeypatch):
+    # No Newton start certifies the 40-star at p = 0.55 with alpha = 2 and
+    # omega = 3.  Extrapolated sweeps cycle there; plain sweeps from the
+    # repeated profile certify an equilibrium.
+    counts = _record_fallbacks(monkeypatch)
+    diss = _closed_diss(star_graph(40), 0.55)
+    out = best_response_dynamics(diss, Params(2.0, 3.0))
+    gains, _ = game._nash_gap(out.q[None], diss.expected_docs[None], diss.reach[None], 2.0, 3.0)
+    assert counts == [1] and gains[0] <= 1e-8
+
+
+@pytest.mark.parametrize("graph, p, diss_of, start", [
+    (star_graph(60), 0.3, reach_closed_form, 1),
+    (star_graph(60), 0.99, reach_closed_form, 2),
+    (load_edge_list("0 1\n0 6\n1 2\n1 5\n1 6\n2 3\n3 4\n3 5\n4 5\n4 6\n5 6\n"), 0.7, reach_exact, 3),
+], ids=["star-60-0.3", "star-60-0.99", "seven-node-0.7"])
+def test_brd_later_starts_certify_where_the_first_stalls(monkeypatch, graph, p, diss_of, start):
+    # Newton stalls from the uniform start at each of these points, and one
+    # of the later starts (the closed form, q = 0 or q = 1) certifies it
+    # before any sweep runs: the equilibrium Newton reaches from that start
+    # alone.
+    runs, counts = _record_starts(monkeypatch), _record_fallbacks(monkeypatch)
+    diss = diss_of(graph, p)
     out = best_response_dynamics(diss, Params())
+    assert runs == [[False]] * start + [[True]] and counts == []
+    assert out.q.tobytes() == _starts_alone(diss)
     assert _nash_gap(out.q, diss) <= 1e-8
 
 
 def test_brd_reports_exhausted_sweeps():
-    # Newton does not certify the 60-star at p = 0.3, so max_iter bounds
-    # the sweeps that follow.
-    g = star_graph(60)
+    # No Newton start certifies the 40-star at p = 0.55 with alpha = 2 and
+    # omega = 3, so max_iter bounds the sweeps that follow.
+    g = star_graph(40)
     with pytest.raises(NonConvergenceError, match="no convergence in 3 sweeps") as err:
-        best_response_dynamics(_closed_diss(g, 0.3), Params(), max_iter=3)
+        best_response_dynamics(_closed_diss(g, 0.55), Params(2.0, 3.0), max_iter=3)
     assert err.value.iterations == 3
 
 
@@ -506,12 +543,13 @@ def test_brd_star_curve_shape():
 
 
 def test_brd_nonconvergence_error_payload():
-    # Newton does not certify this point, so it takes the sweeps.
-    diss = reach_exact(load_edge_list(FIVE_NODE), 0.6413)
-    with pytest.raises(NonConvergenceError) as err:
+    # No Newton start certifies this point, so it takes the sweeps; the
+    # error carries their last profile and its Nash gap.
+    diss = reach_exact(load_edge_list(SIX_NODE), 0.85)
+    with pytest.raises(NonConvergenceError, match="no convergence in 1 sweeps") as err:
         best_response_dynamics(diss, Params(), max_iter=1, tol=1e-14)
-    assert err.value.last_q is not None
-    assert err.value.residual > 0
+    assert err.value.last_q.shape == (6,) and err.value.iterations == 1
+    assert err.value.residual == _nash_gap(err.value.last_q, diss) > 0
 
 
 @pytest.mark.parametrize("q0", [
@@ -544,13 +582,13 @@ def _random_connected_graph(rng, n):
     return load_edge_list("".join(f"{u} {v}\n" for u, v in sorted(edges)))
 
 
-def _solve_each(disses, **options):
+def _solve_each(disses, params=Params(), **options):
     """Per-point results up to the first failing point: q bytes, or the
     error's (message, residual, iterations, last_q bytes)."""
     results = []
     for diss in disses:
         try:
-            out = best_response_dynamics(diss, Params(), **options)
+            out = best_response_dynamics(diss, params, **options)
         except NonConvergenceError as exc:
             assert exc.index is None
             return results + [(str(exc), exc.residual, exc.iterations, exc.last_q.tobytes())]
@@ -558,10 +596,10 @@ def _solve_each(disses, **options):
     return results
 
 
-def _solve_stacked(disses, **options):
+def _solve_stacked(disses, params=Params(), **options):
     """A stacked solve: every point's q bytes, or (index, error as above)."""
     try:
-        outs = best_response_dynamics(disses, Params(), **options)
+        outs = best_response_dynamics(disses, params, **options)
     except NonConvergenceError as exc:
         return exc.index, (str(exc), exc.residual, exc.iterations, exc.last_q.tobytes())
     assert all(out.regime == "nash-strategic" for out in outs)
@@ -641,15 +679,44 @@ def _record_fallbacks(monkeypatch):
     return counts
 
 
+def _record_starts(monkeypatch):
+    """Record, for each Newton run from one of the solver's starts, which
+    of the points it was given it certifies."""
+    runs = []
+    real = game._newton
+
+    def recording(*args):
+        q, certified = real(*args)
+        runs.append(certified.tolist())
+        return q, certified
+
+    monkeypatch.setattr(game, "_newton", recording)
+    return runs
+
+
 def test_stacked_brd_mixes_newton_and_fallback_points(monkeypatch):
-    # Newton certifies most of this grid; from p = 0.1 to 0.4 its line
-    # search fails and those points take the sweeps, alone or in the stack.
-    counts = _record_fallbacks(monkeypatch)
-    disses = [_closed_diss(star_graph(60), p) for p in np.linspace(0.05, 0.95, 19)]
-    assert not _assert_stack_matches(disses)
-    fallbacks = counts[-1]
-    assert 0 < fallbacks < len(disses)
-    assert counts == [1] * fallbacks + [fallbacks]
+    # On the 40-star with alpha = 2 and omega = 3, Newton from the uniform
+    # start certifies p = 0.3, the closed-form start and q = 0 certify
+    # other points of this grid, and the rest take the sweeps, alone or in
+    # the stack.
+    runs, counts = _record_starts(monkeypatch), _record_fallbacks(monkeypatch)
+    params = Params(2.0, 3.0)
+    disses = [_closed_diss(star_graph(40), p) for p in np.linspace(0.3, 0.575, 12)]
+    each = _solve_each(disses, params)
+    # Alone, a point runs the starts up to the one that certifies it, or
+    # all four and then the sweeps (marked 4).
+    starts, tried = [], 0
+    for [certified] in runs:
+        tried += 1
+        if certified or tried == 4:
+            starts.append(tried - 1 if certified else 4)
+            tried = 0
+    assert sorted(set(starts)) == [0, 1, 2, 4] and counts == [1] * starts.count(4)
+    runs.clear()
+    counts.clear()
+    assert _solve_stacked(disses, params) == each
+    assert [len(run) for run in runs] == [sum(s >= k for s in starts) for k in range(4)]
+    assert counts == [starts.count(4)]
 
 
 def _sweeps_alone(diss):
@@ -667,37 +734,74 @@ def _sweeps_alone(diss):
     return str(error), error.residual, error.iterations, error.last_q.tobytes()
 
 
+def _starts_alone(diss):
+    """Newton called directly from each of the solver's starts in turn on
+    one point with alpha = omega = 1: the q bytes of the first start that
+    certifies it, or None."""
+    n, docs, reach = diss.n, diss.expected_docs[None], diss.reach[None]
+    spread = (n - docs) * docs
+    for x in (np.full((1, n), 0.5), (spread + 1.0) / (spread + n), np.zeros((1, n)), np.ones((1, n))):
+        q, certified = game._newton(x, docs, reach, 1.0, 1.0, 1e-8, game._walk_constants(n, n))
+        if certified[0]:
+            return q[0].tobytes()
+    return None
+
+
 @pytest.mark.parametrize("edges, p", [(FIVE_NODE, 0.6413), (SIX_NODE, 0.825), (SIX_NODE, 0.85)])
 def test_brd_fallback_points_match_the_sweeps_alone(monkeypatch, edges, p):
-    # Newton certifies none of these, so each gets what the sweeps give it.
+    # Newton from the uniform start certifies none of these.  Each gets what
+    # the later starts give it, and one that no start certifies what the
+    # sweeps give it: q = 1 certifies FIVE_NODE, and no start SIX_NODE.
     counts = _record_fallbacks(monkeypatch)
     diss = reach_exact(load_edge_list(edges), p)
     [result] = _solve_each([diss])
-    assert counts == [1]
-    assert result == _sweeps_alone(diss)
+    newton = _starts_alone(diss)
+    assert (newton is None) == (edges == SIX_NODE)
+    if newton is None:
+        assert counts == [1] and result == _sweeps_alone(diss)
+    else:
+        assert counts == [] and result == newton
 
 
 def test_brd_falls_back_on_a_singular_newton_system(monkeypatch):
-    # A point whose Newton system cannot be solved takes the sweeps from q0.
+    # A point whose Newton systems cannot be solved runs every start and
+    # then takes the sweeps from q0.
     monkeypatch.setattr(game, "_solve_rows", lambda a, b: np.full(b.shape, np.nan))
-    counts = _record_fallbacks(monkeypatch)
+    runs, counts = _record_starts(monkeypatch), _record_fallbacks(monkeypatch)
     diss = _closed_diss(star_graph(20), 0.9)
     [result] = _solve_each([diss])
-    assert counts == [1]
+    assert runs == [[False]] * 4 and counts == [1]
     assert result == _sweeps_alone(diss)
+
+
+def test_brd_moves_on_after_a_singular_first_start(monkeypatch):
+    # Only the first Newton system is singular: the point moves on to the
+    # closed-form start, which certifies it without the sweeps.
+    real, calls = game._solve_rows, []
+
+    def first_singular(a, b):
+        calls.append(len(b))
+        return np.full(b.shape, np.nan) if len(calls) == 1 else real(a, b)
+
+    monkeypatch.setattr(game, "_solve_rows", first_singular)
+    runs, counts = _record_starts(monkeypatch), _record_fallbacks(monkeypatch)
+    diss = _closed_diss(star_graph(20), 0.9)
+    out = best_response_dynamics(diss, Params())
+    assert runs == [[False], [True]] and counts == []
+    assert _nash_gap(out.q, diss) <= 1e-8
 
 
 def test_brd_returns_only_certified_profiles(monkeypatch):
     # Newton lands on the 20-star's equilibrium, but with a certificate
-    # that never passes, neither it nor the sweeps may return a profile.
+    # that never passes, neither a start nor the sweeps may return a profile.
     def failing_gap(q, *args):
         return np.ones(len(q)), np.zeros(len(q), dtype=int)
 
     monkeypatch.setattr(game, "_nash_gap", failing_gap)
-    counts = _record_fallbacks(monkeypatch)
+    runs, counts = _record_starts(monkeypatch), _record_fallbacks(monkeypatch)
     with pytest.raises(NonConvergenceError, match="settled on a profile that is no equilibrium"):
         best_response_dynamics(_closed_diss(star_graph(20), 0.9), Params())
-    assert counts == [1]
+    assert runs == [[False]] * 4 and counts == [1]
 
 
 def test_solve_rows_leaves_a_singular_row_nan():
@@ -1211,8 +1315,10 @@ def test_social_optimum_matches_grid_oracle(g, diss_of, alpha, omega):
 
 def test_one_start_matches_many_seeded_starts():
     # Welfare kinks upward where the attacker's active set changes, so the
-    # ascent could stop at a local optimum.  The solver keeps one start
-    # because 64 seeded starts per point never find more welfare.
+    # ascent can stop at a local optimum.  On this sample 64 seeded starts
+    # per point find no more welfare than the one start; on a wider sample
+    # (graphs of 7 to 9 agents, more cost pairs) they can, as the
+    # social_optimum_numeric docstring says.
     rng = np.random.default_rng(21)
     for _ in range(30):
         g = _random_connected_graph(rng, int(rng.integers(4, 9)))
