@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
@@ -13,14 +15,14 @@ _MARGIN = {"left": 60, "right": 150, "top": 30, "bottom": 45}
 
 def render_line_chart(xs, series: dict[str, list[float]], title: str = "") -> str:
     """Render named series over a shared x axis, labelled p, as an SVG document."""
-    xs = list(xs)
-    if not xs or not series:
-        raise ValueError("need at least one x value and one series")
+    xs = np.asarray(xs, dtype=float)
+    if not xs.size or not series or any(len(ys) != xs.size for ys in series.values()):
+        raise ValueError("need at least one x value, and one series with one value per x value")
+    ys = np.array(list(series.values()), dtype=float)  # (series, points)
     plot_w = _WIDTH - _MARGIN["left"] - _MARGIN["right"]
     plot_h = _HEIGHT - _MARGIN["top"] - _MARGIN["bottom"]
-    x_lo, x_hi = min(xs), max(xs)
-    ys_all = [y for ys in series.values() for y in ys]
-    y_lo, y_hi = min(ys_all), max(ys_all)
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    y_lo, y_hi = float(ys.min()), float(ys.max())
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -28,7 +30,7 @@ def render_line_chart(xs, series: dict[str, list[float]], title: str = "") -> st
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    def sx(x):
+    def sx(x):  # a scalar or an array, in the same operation order
         return _MARGIN["left"] + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(y):
@@ -72,9 +74,12 @@ def render_line_chart(xs, series: dict[str, list[float]], title: str = "") -> st
         f'<text x="{_MARGIN["left"] + plot_w / 2:.1f}" y="{_HEIGHT - 8}" '
         'text-anchor="middle">p</text>'
     )
-    for idx, (name, ys) in enumerate(series.items()):
+    pixels = np.empty((len(series), xs.size, 2))  # each series' x, y pairs
+    pixels[:, :, 0], pixels[:, :, 1] = sx(xs), sy(ys)
+    template = " ".join(["%.2f,%.2f"] * xs.size)
+    for idx, (name, row) in enumerate(zip(series, pixels.reshape(len(series), -1).tolist())):
         color = _PALETTE[idx % len(_PALETTE)]
-        points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+        points = template % tuple(row)
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
         )

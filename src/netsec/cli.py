@@ -45,10 +45,17 @@ MAX_GRID_STEPS = 10_001
 # points of a small graph, but only two 8 MB matrices at 1000 agents.
 _SWEEP_BLOCK_BYTES = 1 << 24
 
+_NUMBER = "%.12g"  # 12 significant digits, the fixed CSV number format
+
 
 def _fmt(x: float) -> str:
-    """12 significant digits, the fixed CSV number format."""
-    return f"{float(x):.12g}"
+    return _NUMBER % float(x)
+
+
+def _csv_rows(values: np.ndarray) -> list[str]:
+    """Each row of a 2-D array as CSV numbers, formatted by one template."""
+    template = ",".join([_NUMBER] * values.shape[1])
+    return [template % tuple(row) for row in values.tolist()]
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -233,8 +240,8 @@ def _regime_profiles(g: Graph, grid, params: Params, args) -> np.ndarray:
     scalar d = docs[0] (averaging the row can move the last bit) and the
     strategic optimum as the random one.  Other graphs are solved in
     grid order, in blocks whose stacked reach matrices fit in
-    _SWEEP_BLOCK_BYTES, with one stacked equilibrium and one stacked optimum
-    call per block.  A failure names its p: the lowest failing point's, the
+    _SWEEP_BLOCK_BYTES, with one stacked call per block for each regime but
+    the first.  A failure names its p: the lowest failing point's, the
     equilibrium's first at a tie, as a point-by-point sweep meets it.
     """
     n = g.n
@@ -250,6 +257,8 @@ def _regime_profiles(g: Graph, grid, params: Params, args) -> np.ndarray:
     for first in range(0, len(grid), block):
         points = grid[first : first + block]
         disses = [_resolve_dissemination(g, p, args) for p in points]
+        docs = np.array([diss.expected_docs for diss in disses])
+        profiles[first : first + block, 1] = game.social_optimum_random(docs, params.alpha)
         solved, failures = [], []
         for solve in (game.best_response_dynamics, game.social_optimum_numeric):
             try:
@@ -259,9 +268,7 @@ def _regime_profiles(g: Graph, grid, params: Params, args) -> np.ndarray:
         if failures:
             failed = min(failures, key=lambda exc: exc.index)  # the equilibrium's on ties
             raise NonConvergenceError(f"at p = {_fmt(points[failed.index])}: {failed}") from failed
-        for profile, diss, q_ns, q_os in zip(profiles[first:], disses, *solved):
-            profile[1] = game.social_optimum_random(diss.expected_docs, params.alpha)
-            profile[2:] = q_ns.q, q_os.q
+        profiles[first : first + block, 2:] = [[eq.q, opt.q] for eq, opt in zip(*solved)]
     return profiles
 
 
@@ -276,9 +283,7 @@ def _cmd_sweep_investments(args) -> tuple[str, str | None]:
     else:
         tags = [f"{tag}_{i}" for tag in tags for i in range(g.n)]
         columns = profiles.reshape(len(grid), -1)
-    rows = np.column_stack([grid, columns]).tolist()  # Python floats format faster than numpy's
-    lines = [",".join(["p", *tags])]
-    lines.extend(",".join(_fmt(v) for v in vals) for vals in rows)
+    lines = [",".join(["p", *tags]), *_csv_rows(np.column_stack([grid, columns]))]
     series = dict(zip(tags, columns.T.tolist()))
     return "\n".join(lines) + "\n", _chart(args, grid.tolist(), series, f"investments on {g.topology} n={g.n}")
 
@@ -294,10 +299,7 @@ def _cmd_sweep_documents(args) -> tuple[str, str | None]:
     series = {}
     for topology in topologies:
         docs_rows = [topology_docs(topology, n, p) for p in grid]
-        for p, docs in zip(grid, docs_rows):
-            lines.append(
-                f"{topology},{n},{_fmt(p)}," + ",".join(_fmt(v) for v in docs)
-            )
+        lines.extend(f"{topology},{n},{row}" for row in _csv_rows(np.column_stack([grid, docs_rows])))
         series[topology] = [float(np.mean(docs)) for docs in docs_rows]
     return "\n".join(lines) + "\n", _chart(args, list(grid), series, f"expected documents, n={n}")
 
@@ -449,6 +451,9 @@ def _parse_args(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
+        svg = getattr(args, "svg", None)  # a file beside --out, never the same one
+        if svg and args.out and os.path.realpath(svg) == os.path.realpath(args.out):
+            raise ValueError(f"--out and --svg name the same file: {args.out}")
         text, chart = args.func(args)
         # Files first, stdout last: a path that cannot be written leaves no
         # file and nothing on stdout.

@@ -135,10 +135,10 @@ def nash_random(n: int, alpha: float) -> np.ndarray:
 
 
 def social_optimum_random(docs, alpha: float) -> np.ndarray:
-    """Socially optimal investments against a random attack: docs_i / (alpha n)."""
+    """Socially optimal investments against a random attack: docs_i / (alpha n), row by row."""
     _check_cost("alpha", alpha)
-    docs = _as_docs(docs, np.size(docs))
-    return docs / (alpha * docs.size)
+    docs = _as_docs(docs, np.shape(docs)[-1] if np.ndim(docs) else 1)
+    return docs / (alpha * docs.shape[-1])
 
 
 def nash_strategic_vt(d: float, n: int, alpha: float = 1.0, omega: float = 1.0) -> np.ndarray:

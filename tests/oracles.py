@@ -9,7 +9,9 @@ the exact counting routes in Python integers.  The investment gap between
 the equilibrium and the optimum on ring and complete graphs has the sign of
 the cubic h(D(p)) that `find_crossover_p` bisects, here in exact rationals,
 and the paper's two star strategies (uniform attack and sacrificial lamb)
-bound the social optimum from below.
+bound the social optimum from below.  The chart's polyline points are
+formatted point by point, as the SVG renderer did before it scaled whole
+arrays at once.
 """
 
 from dataclasses import dataclass
@@ -18,6 +20,7 @@ from math import comb
 
 import numpy as np
 
+from netsec._svg import _HEIGHT, _MARGIN, _WIDTH
 from netsec.dissemination import _complete_tables, star_docs, topology_docs
 from netsec.game import nash_strategic_vt
 
@@ -183,3 +186,28 @@ def star_sacrificial_lamb(n, p, alpha, omega):
         (1.0 - leaf / hub + omega / hub) ** 2 + (n - 2) * omega**2 / leaf**2
     )
     return StarLambStrategy(feasible, bound, q_center_min, q_leaf_min)
+
+
+def polyline_points(xs, series):
+    """Each series' polyline `points` text: every (x, y) pair mapped to pixels
+    by its own scalar call and formatted on its own."""
+    xs = list(xs)
+    plot_w = _WIDTH - _MARGIN["left"] - _MARGIN["right"]
+    plot_h = _HEIGHT - _MARGIN["top"] - _MARGIN["bottom"]
+    x_lo, x_hi = min(xs), max(xs)
+    ys_all = [y for ys in series.values() for y in ys]
+    y_lo, y_hi = min(ys_all), max(ys_all)
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+
+    def sx(x):
+        return _MARGIN["left"] + (x - x_lo) / (x_hi - x_lo) * plot_w
+
+    def sy(y):
+        return _MARGIN["top"] + (y_hi - y) / (y_hi - y_lo) * plot_h
+
+    return [" ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys)) for ys in series.values()]

@@ -2,6 +2,7 @@ import argparse
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from netsec.dissemination import (
 )
 from netsec.game import NonConvergenceError
 from netsec.graph import TOPOLOGIES, ring_graph, star_graph
+from oracles import polyline_points
 from reed_frost import complete_reach_oracle
 
 
@@ -249,6 +251,57 @@ def test_sweep_documents_dominance(capsys):
         assert ring[p] <= complete[p] + 1e-12
     values = [ring[p] for p in sorted(ring)]
     assert values == sorted(values)
+
+
+@pytest.mark.parametrize("value", [
+    0.0, 1.0, -0.0, 5e-324, 1e-300, 0.1 + 0.2, 123456789012345.0, 1.0 - 2.0**-53,
+])
+def test_csv_row_template_formats_as_fmt(value):
+    assert cli._csv_rows(np.array([[value]])) == [cli._fmt(value)] == [f"{value:.12g}"]
+    assert cli._csv_rows(np.array([[value, -value, 0.5]])) == [f"{value:.12g},{-value:.12g},0.5"]
+
+
+def test_sweep_documents_matches_value_by_value_formatting(capsys, tmp_path):
+    # The CSV rows and the chart's polylines, each number formatted on its own.
+    svg = tmp_path / "docs.svg"
+    code, out, _ = run_cli(capsys, "sweep-documents", "--n", "7", "--topology", "star,ring,complete",
+                           "--p-grid", "0.05:0.95:13", "--svg", str(svg))
+    assert code == 0
+    grid = np.linspace(0.05, 0.95, 13)
+    lines = ["topology,n,p," + ",".join(f"D_{i}" for i in range(7))]
+    series = {}
+    for topology in ("star", "ring", "complete"):
+        docs_rows = [topology_docs(topology, 7, p) for p in grid]
+        lines.extend(f"{topology},7,{p:.12g}," + ",".join(f"{v:.12g}" for v in docs)
+                     for p, docs in zip(grid, docs_rows))
+        series[topology] = [float(np.mean(docs)) for docs in docs_rows]
+    assert out == "\n".join(lines) + "\n"
+    root = ET.fromstring(svg.read_text(encoding="utf-8"))
+    points = [line.get("points") for line in root.iter("{http://www.w3.org/2000/svg}polyline")]
+    assert points == polyline_points(list(grid), series)
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep-investments", "--topology", "star", "--n", "5", "--p-grid", "0:1:5"),
+    ("sweep-documents", "--n", "5", "--p-grid", "0:1:5"),
+])
+@pytest.mark.parametrize("through_link", [False, True])
+def test_out_and_svg_naming_one_file_exit_2_before_any_solve(capsys, monkeypatch, tmp_path, argv,
+                                                             through_link):
+    # The chart would replace the CSV.  A link is resolved, as the writer resolves it.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before refusing the paths")
+
+    monkeypatch.setattr(cli, "_resolve_graph", no_solve)
+    monkeypatch.setattr(cli, "topology_docs", no_solve)
+    target = tmp_path / "x.csv"
+    out = tmp_path / "link.csv" if through_link else target
+    if through_link:
+        out.symlink_to(target)
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out), "--svg", str(target))
+    assert (code, stdout) == (2, "")
+    assert err == f"netsec: --out and --svg name the same file: {out}\n"
+    assert [path.name for path in tmp_path.iterdir()] == (["link.csv"] if through_link else [])
 
 
 def test_crossover_complete_report(capsys):

@@ -77,6 +77,22 @@ def test_social_optimum_random_rejects_documents_outside_one_to_n(docs):
         social_optimum_random(docs, 1.0)
 
 
+def test_social_optimum_random_stack_matches_row_by_row_calls():
+    # A (B, n) stack divides by alpha n, n the agent count, not alpha B n.
+    rng = np.random.default_rng(7)
+    docs = rng.uniform(1.0, 6.0, (4, 6))
+    stack = social_optimum_random(docs, 1.3)
+    assert stack.tobytes() == np.array([social_optimum_random(row, 1.3) for row in docs]).tobytes()
+
+
+def test_social_optimum_random_stack_refuses_a_row_above_n():
+    # 7 documents exceed a row of 6 agents, though not the stack's 4 * 6 entries.
+    docs = np.full((4, 6), 2.0)
+    docs[2, 3] = 7.0
+    with pytest.raises(ValueError, match=r"expected documents must be finite numbers in \[1, 6\]"):
+        social_optimum_random(docs, 1.0)
+
+
 # Dissemination routes and closed forms that take p, and the closed form
 # that takes a common document count d in [1, n], here with n = 5.  The last
 # four of BY_P are test oracles, which must meet the library's p check through
