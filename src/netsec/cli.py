@@ -119,16 +119,24 @@ def _resolve_dissemination(g: Graph, p: float, args):
     return disseminate(g, p, method, samples=args.samples, seed=args.seed)
 
 
-def _vt_closed_forms(g: Graph, args) -> bool:
-    """Whether closed forms serve (ring, complete); refuse, not ignore, another --method."""
-    if g.topology not in VT_TOPOLOGIES:
-        return False
-    if args.method not in (None, METHOD_CLOSED):
-        raise ValueError(
-            f"--method {args.method} is not used on {g.topology} graphs, whose closed "
-            "forms are exact; give the graph with --edges to use it"
-        )
-    return True
+def _closed_route(g: Graph, args) -> bool:
+    """The one route rule of equilibrium, sweep-investments and crossover:
+    closed forms serve a ring or complete graph unless its documents are
+    Monte Carlo (the method resolves to closed when not given) or
+    --numeric, which only equilibrium has, asks for the solvers."""
+    return g.topology in VT_TOPOLOGIES and args.method != METHOD_MC and not getattr(args, "numeric", False)
+
+
+def _closed_profiles(g: Graph, p: float, params: Params) -> np.ndarray:
+    """The four regimes' investments on a ring or complete graph at p, (4,
+    agents) in game.REGIMES order, from the closed-form documents
+    `topology_docs`, the D(p) that `find_crossover_p` bisects: the
+    equilibrium at their one count, and the strategic optimum as the
+    random one."""
+    docs = topology_docs(g.topology, g.n, p)
+    optimum = game.social_optimum_random(docs, params.alpha)
+    strategic = game.nash_strategic_vt(docs[0], g.n, params.alpha, params.omega)
+    return np.array([game.nash_random(g.n, params.alpha), optimum, strategic, optimum])
 
 
 def _chart(args, xs, series: dict, title: str) -> str | None:
@@ -192,31 +200,28 @@ def _cmd_attack(args) -> tuple[str, str | None]:
     return "\n".join(lines) + "\n", None
 
 
-def _equilibrium_q(g: Graph, diss, params: Params, regime: str, numeric: bool):
-    """The regime's GameOutcome: the iterative solver's own, or a closed form's, which ring and
-    complete graphs take at their mean docs unless --numeric or Monte Carlo docs ask for solvers."""
-    docs = diss.expected_docs
-    closed = g.topology in VT_TOPOLOGIES and not numeric and diss.method != METHOD_MC
-    if regime == game.NASH_RANDOM:
-        q = game.nash_random(g.n, params.alpha)
-    elif regime == game.OPT_RANDOM:
-        q = game.social_optimum_random(docs, params.alpha)
-    elif not closed and regime == game.NASH_STRATEGIC:
-        return game.best_response_dynamics(diss, params)
-    elif not closed:
-        return game.social_optimum_numeric(diss, params)
+def _equilibrium_q(g: Graph, p: float, params: Params, args):
+    """The GameOutcome of args.regime at p on the command's dissemination:
+    its `_closed_profiles` row on the closed route, else the iterative
+    solver's own outcome or a random regime's closed form."""
+    diss = _resolve_dissemination(g, p, args)
+    regime = args.regime
+    if _closed_route(g, args):
+        q = _closed_profiles(g, p, params)[game.REGIMES.index(regime)]
     elif regime == game.NASH_STRATEGIC:
-        q = game.nash_strategic_vt(docs.mean(), g.n, params.alpha, params.omega)
+        return game.best_response_dynamics(diss, params)
+    elif regime == game.OPT_STRATEGIC:
+        return game.social_optimum_numeric(diss, params)
+    elif regime == game.NASH_RANDOM:
+        q = game.nash_random(g.n, params.alpha)
     else:
-        q = game.social_optimum_random(np.full(g.n, docs.mean()), params.alpha)
+        q = game.social_optimum_random(diss.expected_docs, params.alpha)
     return game.evaluate_outcome(diss, params, q, regime)
 
 
 def _cmd_equilibrium(args) -> tuple[str, str | None]:
     g = _resolve_graph(args)
-    params = Params(args.alpha, args.omega)
-    diss = _resolve_dissemination(g, args.p, args)
-    outcome = _equilibrium_q(g, diss, params, args.regime, args.numeric)
+    outcome = _equilibrium_q(g, args.p, Params(args.alpha, args.omega), args)
     lines = ["i,q_i,a_i,reward_i"]
     for i in range(g.n):
         lines.append(
@@ -236,23 +241,18 @@ def _regime_profiles(g: Graph, grid, params: Params, args) -> np.ndarray:
     """Investments under the command's costs `params`, shape (points, 4,
     agents), regimes in game.REGIMES order.
 
-    Ring and complete graphs take the closed forms, the equilibrium at the
-    scalar d = docs[0] (averaging the row can move the last bit) and the
-    strategic optimum as the random one.  Other graphs are solved in
-    grid order, in blocks whose stacked reach matrices fit in
-    _SWEEP_BLOCK_BYTES, with one stacked call per block for each regime but
-    the first.  A failure names its p: the lowest failing point's, the
-    equilibrium's first at a tie, as a point-by-point sweep meets it.
+    On the closed route (`_closed_route`) each point is its
+    `_closed_profiles`.  Otherwise the points are solved in grid order, in
+    blocks whose stacked reach matrices fit in _SWEEP_BLOCK_BYTES, with one
+    stacked call per block for each regime but the first.  A failure names
+    its p: the lowest failing point's, the equilibrium's first at a tie, as
+    a point-by-point sweep meets it.
     """
+    if _closed_route(g, args):
+        return np.array([_closed_profiles(g, p, params) for p in grid])
     n = g.n
     profiles = np.empty((len(grid), len(game.REGIMES), n))
     profiles[:, 0] = game.nash_random(n, params.alpha)
-    if _vt_closed_forms(g, args):
-        for profile, p in zip(profiles, grid):
-            docs = topology_docs(g.topology, n, p)
-            profile[1] = profile[3] = game.social_optimum_random(docs, params.alpha)
-            profile[2] = game.nash_strategic_vt(docs[0], n, params.alpha, params.omega)
-        return profiles
     block = max(1, _SWEEP_BLOCK_BYTES // (8 * n * n))
     for first in range(0, len(grid), block):
         points = grid[first : first + block]
@@ -278,7 +278,7 @@ def _cmd_sweep_investments(args) -> tuple[str, str | None]:
     grid = _parse_grid(args.p_grid)
     profiles = _regime_profiles(g, grid, params, args)
     tags = ["q_NR", "q_OR", "q_NS", "q_OS"]
-    if g.topology in VT_TOPOLOGIES:  # every agent invests alike
+    if _closed_route(g, args):  # every agent invests alike
         columns = profiles[:, :, 0]
     else:
         tags = [f"{tag}_{i}" for tag in tags for i in range(g.n)]
@@ -306,15 +306,14 @@ def _cmd_sweep_documents(args) -> tuple[str, str | None]:
 
 def _cmd_crossover(args) -> tuple[str, str | None]:
     g = _resolve_graph(args)
-    n = g.n
+    grid = _parse_grid(args.p_grid)  # on every route, so a bad grid never passes
     lines = ["agent_class,p_star"]
     metrics = []
-    if _vt_closed_forms(g, args):
-        p_star, p_from = game.find_crossover_p(g.topology, n, args.alpha, args.omega)
+    if _closed_route(g, args):
+        p_star, p_from = game.find_crossover_p(g.topology, g.n, args.alpha, args.omega)
         lines.append(f"all,{_fmt(p_star)}")
         metrics = [("strengthen_from", p_from), ("strengthen_to", 1.0)]
     elif g.topology == STAR:
-        grid = _parse_grid(args.p_grid)
         profiles = _regime_profiles(g, grid, Params(args.alpha, args.omega), args)
         for label, idx in (("center", 0), ("leaf", 1)):
             gaps = profiles[:, 2, idx] - profiles[:, 3, idx]
@@ -326,7 +325,7 @@ def _cmd_crossover(args) -> tuple[str, str | None]:
             if not found:
                 lines.append(f"{label},nan")
     else:
-        raise ValueError("crossover needs a ring, complete, or star topology")
+        raise ValueError("crossover needs a star, or a ring or complete graph without --method mc")
     metrics.append(("p_half_coverage", p_for_half_coverage(g)))
     lines.append("metric,value")
     lines.extend(f"{name},{_fmt(value)}" for name, value in metrics)

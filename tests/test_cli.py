@@ -575,6 +575,31 @@ def test_strategic_equilibrium_on_monte_carlo_ring_uses_iterative_solver(capsys,
     assert [row[1] for row in rows] == [cli._fmt(x) for x in expected]
 
 
+# The strategic closed forms mark the closed route, the iterative solvers
+# the other; the random optimum is a closed form on both.
+ROUTE_FORMS = ("nash_strategic_vt", "find_crossover_p")
+ROUTE_SOLVERS = ("best_response_dynamics", "social_optimum_numeric")
+
+
+def spy_routes(monkeypatch):
+    """The list that records, in order, each call the CLI makes to a route's
+    closed form or solver in `game`."""
+    calls = []
+
+    def spy(name):
+        real = getattr(game, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ROUTE_FORMS + ROUTE_SOLVERS:
+        monkeypatch.setattr(game, name, spy(name))
+    return calls
+
+
 @pytest.mark.parametrize("topology", ["ring", "complete"])
 @pytest.mark.parametrize("regime", ["nash-strategic", "opt-strategic"])
 @pytest.mark.parametrize("options, closed", [
@@ -587,32 +612,52 @@ def test_strategic_equilibrium_on_monte_carlo_ring_uses_iterative_solver(capsys,
 ])
 def test_equilibrium_chooses_closed_forms_or_solvers(capsys, monkeypatch, topology, regime, options, closed):
     # Ring and complete graphs take the closed forms unless Monte Carlo docs
-    # or --numeric ask for the iterative solvers; the strategic optimum's
-    # closed form is the random optimum.
-    calls = []
-
-    def spy(name):
-        real = getattr(game, name)
-
-        def call(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-
-        return call
-
-    for name in ("nash_strategic_vt", "social_optimum_random", "best_response_dynamics",
-                 "social_optimum_numeric"):
-        monkeypatch.setattr(game, name, spy(name))
+    # or --numeric ask for the regime's iterative solver.  The closed route
+    # builds all four regimes' rows, the strategic optimum as the random
+    # one, so its one strategic closed form runs for either regime.
+    calls = spy_routes(monkeypatch)
     code, _, err = run_cli(capsys, "equilibrium", "--regime", regime, "--topology", topology,
                            "--n", "5", "--p", "0.4", *options)
     assert (code, err) == (0, "")
-    expected = {
-        ("nash-strategic", True): "nash_strategic_vt",
-        ("opt-strategic", True): "social_optimum_random",
-        ("nash-strategic", False): "best_response_dynamics",
-        ("opt-strategic", False): "social_optimum_numeric",
-    }
-    assert calls == [expected[regime, closed]]
+    solver = {"nash-strategic": "best_response_dynamics", "opt-strategic": "social_optimum_numeric"}
+    assert calls == (["nash_strategic_vt"] if closed else [solver[regime]])
+
+
+ROUTE_ARGS = {
+    "equilibrium": ("--regime", "nash-strategic", "--p", "0.4"),
+    "sweep-investments": ("--p-grid", "0:1:3"),
+    "crossover": (),
+}
+
+
+@pytest.mark.parametrize("topology", ["ring", "complete"])
+@pytest.mark.parametrize("method", [None, "closed", "exact", "mc"])
+@pytest.mark.parametrize("command, numeric", [
+    ("equilibrium", False), ("equilibrium", True), ("sweep-investments", False), ("crossover", False),
+])
+def test_one_route_rule_serves_every_command(capsys, monkeypatch, command, numeric, method, topology):
+    # One rule for all three commands: closed forms serve ring and complete
+    # graphs unless their documents are Monte Carlo or --numeric (which only
+    # equilibrium has) asks for the solvers.  Off the closed route
+    # equilibrium and sweep-investments run the solvers, and crossover, with
+    # no solver route on these graphs, exits 2 with one line.  The sweep
+    # prints one column per regime exactly on the closed route.
+    calls = spy_routes(monkeypatch)
+    argv = [command, "--topology", topology, "--n", "5", *ROUTE_ARGS[command]]
+    argv += [] if method is None else ["--method", method, "--samples", "200"]
+    argv += ["--numeric"] if numeric else []
+    code, out, err = run_cli(capsys, *argv)
+    closed = method != "mc" and not numeric
+    if command == "crossover" and not closed:
+        assert (code, out, calls) == (2, "", [])
+        assert err == "netsec: crossover needs a star, or a ring or complete graph without --method mc\n"
+        return
+    assert (code, err) == (0, "")
+    assert calls and set(calls) <= set(ROUTE_FORMS if closed else ROUTE_SOLVERS)
+    if command == "sweep-investments":
+        header = out.splitlines()[0].split(",")
+        assert header[1:] == (["q_NR", "q_OR", "q_NS", "q_OS"] if closed else
+                              [f"{tag}_{i}" for tag in ("q_NR", "q_OR", "q_NS", "q_OS") for i in range(5)])
 
 
 CLOSED_FORM_COMMANDS = [
@@ -623,22 +668,22 @@ CLOSED_FORM_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("method", ["mc", "exact"])
-@pytest.mark.parametrize("argv", CLOSED_FORM_COMMANDS)
-def test_closed_form_commands_refuse_other_methods(capsys, argv, method):
-    # Ring and complete rows come from exact closed forms, so any other
-    # --method is an error.
-    code, out, err = run_cli(capsys, *argv, "--method", method, "--samples", "100")
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1 and f"--method {method}" in err
-
-
 @pytest.mark.parametrize("argv", CLOSED_FORM_COMMANDS)
 def test_closed_form_commands_accept_method_closed(capsys, argv):
+    # On the closed route the method names only a dissemination the closed
+    # forms do not read, so closed, exact and the default print one output.
     default = run_cli(capsys, *argv)
     assert default[0] == 0
-    assert run_cli(capsys, *argv, "--method", "closed") == default
+    for method in ("closed", "exact"):
+        assert run_cli(capsys, *argv, "--method", method) == default
+
+
+@pytest.mark.parametrize("topology", ["ring", "complete", "star"])
+def test_crossover_parses_its_grid_on_every_route(capsys, topology):
+    # The closed forms never read the grid, but a bad one is still an error.
+    assert run_cli(capsys, "crossover", "--topology", topology, "--n", "5", "--p-grid", "junk") == (
+        2, "", "netsec: expected --p-grid as a:b:steps, got 'junk'\n",
+    )
 
 
 def test_star_sweep_builds_one_dissemination_per_point(capsys, monkeypatch):
@@ -705,6 +750,22 @@ def test_closed_form_profiles_hold_each_regime_in_order(topology, n):
         assert profile.tobytes() == np.array([expected[r] for r in game.REGIMES]).tobytes()
 
 
+@pytest.mark.parametrize("topology, n", [("ring", 7), ("complete", 5)])
+@pytest.mark.parametrize("alpha, omega", [(1.0, 1.0), (1.3, 2.0)])
+def test_equilibrium_takes_its_sweep_row_on_the_closed_route(topology, n, alpha, omega):
+    # One closed-form helper serves both commands, so at every float p of the
+    # grid each regime's equilibrium is its sweep row to the byte; the mean
+    # of the reach matrix's column sums could move the last bit.
+    args = cli._parse_args(["sweep-investments", "--topology", topology, "--n", str(n)])
+    g, grid, params = cli._resolve_graph(args), cli._parse_grid("0:1:101"), Params(alpha, omega)
+    profiles = cli._regime_profiles(g, grid, params, args)
+    for profile, p in zip(profiles, grid):
+        for row, regime in zip(profile, game.REGIMES):
+            eq_args = cli._parse_args(["equilibrium", "--topology", topology, "--n", str(n),
+                                       "--p", repr(float(p)), "--regime", regime])
+            assert cli._equilibrium_q(g, p, params, eq_args).q.tobytes() == row.tobytes(), (p, regime)
+
+
 @pytest.mark.parametrize("graph, n, method", [
     (("--topology", "star", "--n", "5"), 5, METHOD_CLOSED),
     (("--edges", "EDGES"), 4, METHOD_EXACT),
@@ -726,15 +787,6 @@ def test_solved_profiles_match_point_by_point_solves_across_blocks(monkeypatch, 
             game.OPT_STRATEGIC: game.social_optimum_numeric(diss, params).q,
         }
         assert profile.tobytes() == np.array([expected[r] for r in game.REGIMES]).tobytes()
-
-
-def test_ring_sweep_refuses_monte_carlo(capsys):
-    assert run_cli(capsys, "sweep-investments", "--topology", "ring", "--n", "6", "--method", "mc") == (
-        2,
-        "",
-        "netsec: --method mc is not used on ring graphs, whose closed forms are exact; "
-        "give the graph with --edges to use it\n",
-    )
 
 
 def test_star_sweep_evaluates_each_stacked_solve_once(capsys, monkeypatch):
