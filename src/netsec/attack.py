@@ -26,19 +26,13 @@ _SIMPLEX_TOL = 1e-9
 
 @dataclass(frozen=True)
 class AttackSolution:
-    """Optimal attack vector with its KKT multiplier and active set."""
+    """Optimal attack vector with its KKT multiplier and active set.  From
+    `optimal_attack`, a and active are read-only parts of one array per
+    field of the call; built by hand, it stores its arguments as given."""
 
     a: np.ndarray
     lam: float
     active: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        a.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        active = np.asarray(self.active, dtype=int)
-        active.flags.writeable = False
-        object.__setattr__(self, "active", active)
 
     @property
     def n_star(self) -> int:
@@ -107,7 +101,10 @@ def optimal_attack(q, docs, omega: float) -> AttackSolution | list[AttackSolutio
         raise ValueError(f"q and docs must share an (n,) or (B, n) shape, got {q.shape} and {docs.shape}")
     _check_cost("omega", omega)
     a, lam, active = _water_fill(((1.0 - q) * docs).reshape(-1, q.shape[-1]), omega)
-    sols = [AttackSolution(row, level, on.nonzero()[0]) for row, level, on in zip(a, lam.tolist(), active)]
+    agents = active.nonzero()[1]  # one nonzero, split at each row's count
+    ends = np.add.accumulate(active.sum(axis=1)).tolist()
+    a.flags.writeable = agents.flags.writeable = False
+    sols = list(map(AttackSolution, a, lam.tolist(), [agents[lo:hi] for lo, hi in zip([0, *ends], ends)]))
     return sols if q.ndim == 2 else sols[0]
 
 

@@ -201,14 +201,16 @@ def _cmd_attack(args) -> tuple[str, str | None]:
 
 
 def _equilibrium_q(g: Graph, p: float, params: Params, args):
-    """The GameOutcome of args.regime at p on the command's dissemination:
-    its `_closed_profiles` row on the closed route, else the iterative
+    """The GameOutcome of args.regime at p.  On the closed route, its
+    `_closed_profiles` row on the closed-form reach, whatever --method
+    names; otherwise, on the command's dissemination, the iterative
     solver's own outcome or a random regime's closed form."""
-    diss = _resolve_dissemination(g, p, args)
     regime = args.regime
     if _closed_route(g, args):
         q = _closed_profiles(g, p, params)[game.REGIMES.index(regime)]
-    elif regime == game.NASH_STRATEGIC:
+        return game.evaluate_outcome(disseminate(g, p, METHOD_CLOSED), params, q, regime)
+    diss = _resolve_dissemination(g, p, args)
+    if regime == game.NASH_STRATEGIC:
         return game.best_response_dynamics(diss, params)
     elif regime == game.OPT_STRATEGIC:
         return game.social_optimum_numeric(diss, params)

@@ -72,7 +72,10 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class GameOutcome:
-    """Investments with the induced attack, per-agent rewards, and welfare."""
+    """Investments with the induced attack, per-agent rewards, and welfare.
+    From `evaluate_outcome`, q, attack_vector and rewards are read-only rows
+    of one array per field of the call; built by hand, it stores its
+    arguments as given."""
 
     q: np.ndarray
     attack_vector: np.ndarray
@@ -80,12 +83,6 @@ class GameOutcome:
     welfare: float
     regime: str
     attack: AttackSolution | None = None
-
-    def __post_init__(self):
-        for name in ("q", "attack_vector", "rewards"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
 
 def evaluate_outcome(
@@ -112,9 +109,12 @@ def evaluate_outcome(
     else:
         a = np.full((rows, n), 1.0 / n)
     # Each point's rewards read its own reach matrix; no reach stack is built.
-    breach = np.array([(d.reach @ s[:, None])[:, 0] for d, s in zip(disses, a * (1.0 - q))])
+    breach = np.empty((rows, n))
+    for d, s, out in zip(disses, a * (1.0 - q), breach):
+        np.dot(d.reach, s, out=out)
     rewards = 1.0 - breach - 0.5 * params.alpha * q**2
     welfare = n - _row_dot(a, (1.0 - q) * docs) - 0.5 * params.alpha * _row_dot(q, q)
+    q.flags.writeable = a.flags.writeable = rewards.flags.writeable = False
     outcomes = list(map(GameOutcome, q, a, rewards, welfare.tolist(), [regime] * rows, sols))
     return outcomes[0] if single else outcomes
 

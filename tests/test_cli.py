@@ -665,6 +665,10 @@ CLOSED_FORM_COMMANDS = [
     ("sweep-investments", "--topology", "complete", "--n", "4", "--p-grid", "0:1:3"),
     ("crossover", "--topology", "ring", "--n", "5"),
     ("crossover", "--topology", "complete", "--n", "4"),
+    # equilibrium's closed route reads only the closed-form reach, so an
+    # exact reach it would not read cannot refuse K_13 (at most 12 agents).
+    ("equilibrium", "--topology", "complete", "--n", "13", "--p", "0.5", "--regime", "nash-strategic"),
+    ("equilibrium", "--topology", "ring", "--n", "5", "--p", "0.3", "--regime", "opt-strategic"),
 ]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from netsec import game
-from netsec.attack import _water_fill, optimal_attack
+from netsec.attack import AttackSolution, _water_fill, optimal_attack
 from netsec.dissemination import (
     Dissemination,
     Params,
@@ -1638,19 +1638,43 @@ def test_stacked_evaluate_outcome_matches_per_point_calls(regime):
         ]
 
 
+def _result_arrays(result):
+    """Every array of an AttackSolution or a GameOutcome, its attack's too."""
+    if isinstance(result, AttackSolution):
+        return [result.a, result.active]
+    return [result.q, result.attack_vector, result.rewards] + (_result_arrays(result.attack) if result.attack else [])
+
+
 @pytest.mark.parametrize("regime", game.REGIMES)
 def test_stacked_outcomes_own_read_only_arrays(regime):
     disses, qs = next(_outcome_stacks())
-    outs = evaluate_outcome(disses, Params(), qs, regime)
-    arrays = [
-        [out.q, out.attack_vector, out.rewards] + ([out.attack.a, out.attack.active] if out.attack else [])
-        for out in outs
-    ]
+    arrays = [_result_arrays(out) for out in evaluate_outcome(disses, Params(), qs, regime)]
     assert not any(arr.flags.writeable for row in arrays for arr in row)
     assert not any(np.shares_memory(qs, arr) for row in arrays for arr in row)
     for j, row in enumerate(arrays):
         for other in arrays[j + 1 :]:
             assert not any(np.shares_memory(x, y) for x in row for y in other)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda diss, q, docs: optimal_attack(q, docs, 1.0),
+    lambda diss, q, docs: evaluate_outcome(diss, Params(), q, "nash-strategic"),
+    lambda diss, q, docs: evaluate_outcome(diss, Params(), q, "opt-random"),
+    lambda diss, q, docs: best_response_dynamics(diss, Params(), q0=q),
+    lambda diss, q, docs: social_optimum_numeric(diss, Params()),
+], ids=["optimal_attack", "evaluate_outcome-strategic", "evaluate_outcome-random",
+        "best_response_dynamics", "social_optimum_numeric"])
+def test_one_point_results_own_read_only_arrays(solve):
+    # One point's results are read-only, and share memory neither with one
+    # another nor with the caller's arrays, which stay writeable.
+    diss = _closed_diss(star_graph(5), 0.6)
+    q, docs = np.array([0.0, 0.3, 0.5, 0.5, 1.0]), diss.expected_docs.copy()
+    arrays = _result_arrays(solve(diss, q, docs))
+    assert not any(arr.flags.writeable for arr in arrays)
+    assert not any(np.shares_memory(arr, x) for arr in arrays for x in (q, docs, diss.reach, diss.expected_docs))
+    for j, arr in enumerate(arrays):
+        assert not any(np.shares_memory(arr, other) for other in arrays[j + 1 :])
+    assert q.flags.writeable and docs.flags.writeable
 
 
 def test_stacked_evaluate_outcome_makes_one_attack_solve(monkeypatch):
